@@ -4,16 +4,12 @@
 #include <cmath>
 #include <cstring>
 
+#include "signal/splitmix64.hpp"
+
 namespace sift::cohort {
 namespace {
 
-/// splitmix64's output mix — the standard cheap 64-bit avalanche.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
+using signal::splitmix64;
 
 /// Samples are quantised before hashing (~1e-6 resolution over the
 /// physiological range) so the hash is stable against how a value was
@@ -32,15 +28,15 @@ std::uint64_t WindowDedup::hash_window(
     std::span<const std::size_t> sys_peaks) const {
   std::uint64_t h = 0x53494654ULL;  // "SIFT"
   for (double x : ecg) {
-    h = mix64(h ^ static_cast<std::uint64_t>(quantize(x)));
+    h = splitmix64(h ^ static_cast<std::uint64_t>(quantize(x)));
   }
   for (double x : abp) {
-    h = mix64(h ^ static_cast<std::uint64_t>(quantize(x)));
+    h = splitmix64(h ^ static_cast<std::uint64_t>(quantize(x)));
   }
-  h = mix64(h ^ r_peaks.size());
-  for (std::size_t p : r_peaks) h = mix64(h ^ p);
-  h = mix64(h ^ sys_peaks.size());
-  for (std::size_t p : sys_peaks) h = mix64(h ^ p);
+  h = splitmix64(h ^ r_peaks.size());
+  for (std::size_t p : r_peaks) h = splitmix64(h ^ p);
+  h = splitmix64(h ^ sys_peaks.size());
+  for (std::size_t p : sys_peaks) h = splitmix64(h ^ p);
   return h;
 }
 

@@ -35,7 +35,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fleet/bounded_queue.hpp"
 #include "fleet/metrics.hpp"
 #include "fleet/model_registry.hpp"
 #include "fleet/session_table.hpp"
@@ -54,6 +53,20 @@ class FaultInjector;
 namespace durable {
 class Durability;
 }  // namespace durable
+
+/// What a full inbound ring does to its producer. kBlock waits for space
+/// (lossless; pushes the pressure back to the ingest socket). kDropOldest
+/// sheds the oldest staged envelope (bounded latency: a stale sensor window
+/// is worth less than a fresh one) and counts every drop, so operators see
+/// the loss instead of guessing at it.
+enum class BackpressurePolicy {
+  kBlock,      ///< producers wait for space (lossless)
+  kDropOldest  ///< evict the oldest staged element, count the drop
+};
+
+inline const char* to_string(BackpressurePolicy p) noexcept {
+  return p == BackpressurePolicy::kBlock ? "block" : "drop-oldest";
+}
 
 /// Per-user ingest-validation bookkeeping. The per-channel high-waters
 /// exist for exactly-once recovery: a reject charged before a checkpoint

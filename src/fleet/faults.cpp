@@ -7,21 +7,13 @@
 #include <thread>
 #include <utility>
 
+#include "signal/splitmix64.hpp"
+
 namespace sift::fleet {
 
 namespace {
 
-/// splitmix64: the stateless mixer behind every injection decision.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double uniform01(std::uint64_t h) noexcept {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
+using signal::splitmix64;
 
 bool contains(const std::vector<int>& v, int x) noexcept {
   return std::find(v.begin(), v.end(), x) != v.end();
@@ -33,11 +25,8 @@ FaultInjector::FaultInjector(FaultConfig config) : config_(std::move(config)) {}
 
 bool FaultInjector::coin(int user_id, std::uint64_t seq, std::uint64_t salt,
                          double probability) const noexcept {
-  if (probability <= 0.0) return false;
-  const std::uint64_t h =
-      mix(config_.seed ^ mix(static_cast<std::uint64_t>(user_id) ^
-                             mix(seq ^ mix(salt))));
-  return uniform01(h) < probability;
+  return signal::coin(probability,
+                      signal::seeded_hash(config_.seed, salt, user_id, seq));
 }
 
 bool FaultInjector::targets_payload(int user_id) const noexcept {
@@ -65,9 +54,9 @@ bool FaultInjector::corrupt_packet(int user_id, wiot::Packet& packet) {
 
   if (coin(user_id, seq, /*salt=*/1, config_.nan_probability)) {
     // Poison a deterministic sample position with NaN and one with +Inf.
-    packet.samples[mix(seq) % packet.samples.size()] =
+    packet.samples[splitmix64(seq) % packet.samples.size()] =
         std::numeric_limits<double>::quiet_NaN();
-    packet.samples[mix(seq + 7) % packet.samples.size()] =
+    packet.samples[splitmix64(seq + 7) % packet.samples.size()] =
         std::numeric_limits<double>::infinity();
     nan_samples_.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -78,14 +67,15 @@ bool FaultInjector::corrupt_packet(int user_id, wiot::Packet& packet) {
     // is guaranteed to catch (finite-garbage flips are modelled by the
     // attack library instead; they are a detection problem, not a
     // robustness one).
-    const std::size_t at = mix(seq + 13) % packet.samples.size();
+    const std::size_t at = splitmix64(seq + 13) % packet.samples.size();
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(packet.samples[at]);
     packet.samples[at] = std::bit_cast<double>(bits | 0x7ff0000000000000ULL);
     corrupted_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   if (coin(user_id, seq, /*salt=*/3, config_.truncate_probability)) {
-    packet.samples.resize(1 + mix(seq + 17) % (packet.samples.size() / 2 + 1));
+    packet.samples.resize(
+        1 + splitmix64(seq + 17) % (packet.samples.size() / 2 + 1));
     truncated_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }

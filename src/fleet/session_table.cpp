@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "signal/splitmix64.hpp"
+
 namespace sift::fleet {
 
 SessionTable::SessionTable(std::size_t num_shards, ModelRegistry& registry,
@@ -19,12 +21,8 @@ SessionTable::SessionTable(std::size_t num_shards, ModelRegistry& registry,
 std::size_t SessionTable::shard_of(int user_id) const noexcept {
   // splitmix64 finaliser: cheap, and decouples shard choice from any
   // structure in the id space (sequential ids, per-site id ranges...).
-  std::uint64_t x = static_cast<std::uint64_t>(static_cast<std::uint32_t>(user_id));
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
+  const std::uint64_t x = signal::splitmix64_finalize(
+      static_cast<std::uint32_t>(user_id));
   return static_cast<std::size_t>(x % shards_.size());
 }
 

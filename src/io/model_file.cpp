@@ -16,11 +16,10 @@ namespace {
 //
 //   sift-user-model v2
 //   crc32 <8-hex> <payload-bytes>
-//   <v1 body>
+//   <body>
 //
-// v1 files (no checksum) remain readable for already-provisioned fleets.
+// Any other magic is rejected, including the retired unchecksummed v1.
 constexpr const char* kMagic = "sift-user-model v2";
-constexpr const char* kMagicV1 = "sift-user-model v1";
 
 std::uint32_t body_crc(const std::string& body) noexcept {
   return crc32({reinterpret_cast<const std::uint8_t*>(body.data()),
@@ -112,17 +111,12 @@ core::UserModel read_model_body(std::istream& is) {
 
 core::UserModel read_user_model(std::istream& is) {
   std::string line;
-  bool v2 = false;
   while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    if (line == kMagic) {
-      v2 = true;
-    } else if (line != kMagicV1) {
-      throw std::runtime_error("model file: bad magic '" + line + "'");
-    }
-    break;
+    if (!line.empty() && line[0] != '#') break;
   }
-  if (!v2) return read_model_body(is);  // legacy, unchecksummed
+  if (line != kMagic) {
+    throw std::runtime_error("model file: bad magic '" + line + "'");
+  }
 
   std::string crc_line;
   if (!std::getline(is, crc_line)) {

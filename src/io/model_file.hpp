@@ -5,7 +5,8 @@
 // window length, grid size, version and arithmetic, so they travel in the
 // same file:
 //
-//   sift-user-model v1
+//   sift-user-model v2
+//   crc32 <8-hex> <body-bytes>
 //   user_id <n>
 //   version Original|Simplified|Reduced
 //   arithmetic double|float32|Q16.16

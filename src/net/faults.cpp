@@ -7,21 +7,11 @@
 #include <thread>
 #include <utility>
 
+#include "signal/splitmix64.hpp"
+
 namespace sift::net {
 
 namespace {
-
-/// splitmix64: the stateless mixer behind every injection decision.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-double uniform01(std::uint64_t h) noexcept {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 // Salts keep each fault kind's coin independent at the same wire position.
 enum : std::uint64_t {
@@ -50,9 +40,8 @@ FaultyTransport::FaultyTransport(NetFaultConfig config)
 bool FaultyTransport::coin(std::uint64_t conn_id, std::uint64_t offset,
                            std::uint64_t salt,
                            double probability) const noexcept {
-  if (probability <= 0.0) return false;
-  const std::uint64_t h = mix(config_.seed ^ mix(conn_id ^ mix(offset ^ mix(salt))));
-  return uniform01(h) < probability;
+  return signal::coin(probability,
+                      signal::seeded_hash(config_.seed, salt, conn_id, offset));
 }
 
 void FaultyTransport::injected(std::atomic<std::uint64_t>& counter) noexcept {

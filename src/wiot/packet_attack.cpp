@@ -1,26 +1,17 @@
 #include "wiot/packet_attack.hpp"
 
+#include "signal/splitmix64.hpp"
+
 namespace sift::wiot {
 namespace {
 
-// splitmix64 finaliser: decisions are a pure function of (seed, index,
-// salt), independent of call order — the same determinism idiom the chaos
-// injector uses, so attacked streams replay bit-identically.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-bool coin(std::uint64_t seed, std::uint64_t index, std::uint64_t salt,
-          double probability) noexcept {
-  if (probability <= 0.0) return false;
-  if (probability >= 1.0) return true;
-  const double u =
-      static_cast<double>(mix(seed ^ mix(index ^ mix(salt))) >> 11) *
-      0x1.0p-53;
-  return u < probability;
+// Decisions are a pure function of (seed, index, salt), independent of call
+// order — the same seeded coin the chaos injectors flip, so attacked
+// streams replay bit-identically.
+bool coin(const StreamAttackConfig& config, std::size_t index,
+          std::uint64_t salt) noexcept {
+  return signal::coin(config.probability,
+                      signal::seeded_hash(config.seed, salt, index));
 }
 
 }  // namespace
@@ -57,7 +48,7 @@ std::vector<Packet> apply_stream_attack(const std::vector<Packet>& clean,
       }
     }
     if (config.kind == StreamAttackKind::kSeqSpoof && i >= config.onset &&
-        coin(config.seed, i, /*salt=*/1, config.probability)) {
+        coin(config, i, /*salt=*/1)) {
       // A forged packet claiming a far-future position arrives just before
       // the genuine one. If accepted it drags the channel cursor (and the
       // durability dedupe cursor) into the future, orphaning real traffic.
@@ -71,7 +62,7 @@ std::vector<Packet> apply_stream_attack(const std::vector<Packet>& clean,
     switch (config.kind) {
       case StreamAttackKind::kReplayPastCursor:
         if (i >= config.onset && i >= config.replay_depth &&
-            coin(config.seed, i, /*salt=*/2, config.probability)) {
+            coin(config, i, /*salt=*/2)) {
           for (std::size_t b = 0; b < config.burst; ++b) {
             const std::size_t src = i - config.replay_depth + b;
             if (src >= i) break;
@@ -82,7 +73,7 @@ std::vector<Packet> apply_stream_attack(const std::vector<Packet>& clean,
         break;
       case StreamAttackKind::kDuplicateFlood:
         if (i >= config.onset &&
-            coin(config.seed, i, /*salt=*/3, config.probability)) {
+            coin(config, i, /*salt=*/3)) {
           for (std::size_t b = 0; b < config.burst; ++b) {
             out.push_back(p);
             ++local.injected;

@@ -263,19 +263,18 @@ TEST_F(IoTest, UserModelCrcCatchesTruncation) {
   }
 }
 
-TEST_F(IoTest, UserModelV1FilesRemainReadable) {
-  // An already-provisioned fleet has unchecksummed v1 artefacts on disk;
-  // synthesize one by swapping the v2 framing for the v1 magic.
+TEST_F(IoTest, UserModelV1FilesAreRejected) {
+  // A v1 artefact carries no checksum, so nothing proves its weights are
+  // the trained ones: it must fail to load instead of feeding garbage to
+  // the detector. Synthesize one by swapping the v2 framing for the v1
+  // magic over an otherwise intact body.
   std::stringstream ss;
   write_user_model(ss, *model_);
   const std::string v2 = ss.str();
   const std::size_t payload = v2.find('\n', v2.find("crc32 ")) + 1;
   std::stringstream v1("sift-user-model v1\n" + v2.substr(payload));
 
-  const core::UserModel restored = read_user_model(v1);
-  EXPECT_EQ(restored.user_id, model_->user_id);
-  EXPECT_EQ(restored.config.version, model_->config.version);
-  EXPECT_EQ(restored.svm.w, model_->svm.w);
+  EXPECT_THROW(read_user_model(v1), std::runtime_error);
 }
 
 }  // namespace

@@ -41,6 +41,8 @@
 #include "fleet/engine.hpp"
 #include "fleet/faults.hpp"
 #include "fleet/replay.hpp"
+#include "io/framed.hpp"
+#include "io/state.hpp"
 
 namespace sift::fleet {
 namespace {
@@ -404,6 +406,61 @@ TEST_F(RecoveryTest, JournalOnlyRecoveryIsExactlyOnce) {
   EXPECT_NE(json.find("fleet.journal_bytes"), std::string::npos);
   EXPECT_NE(json.find("fleet.frames_replayed"), std::string::npos);
   EXPECT_NE(json.find("fleet.frames_discarded_torn"), std::string::npos);
+}
+
+// A checkpoint in the retired v1 layout (one journal barrier) is not a
+// loadable generation: try_load rejects it like any unknown version, and
+// with no checkpoint.prev the journal alone restores the run exactly once.
+TEST_F(RecoveryTest, V1CheckpointIsIgnoredAndJournalReplays) {
+  ScopedDir control_dir("control_v1");
+  const RunArtifacts want = control_run(control_dir.path);
+  const std::size_t steps = fixture_->session_packets(0).size();
+
+  ScopedDir dir("v1");
+  {
+    FaultInjector injector(fault_config());
+    durable::Durability durability(dir.path);
+    FleetConfig config = engine_config();
+    config.injector = &injector;
+    config.durability = &durability;
+    FleetEngine engine(fixture_->provider(), config);
+    feed_steps(engine, injector, nullptr, 0, steps / 2, 0);  // no checkpoints
+    engine.drain();
+    durability.flush();
+  }
+  {
+    // Well-framed v1 header: magic "SIFK", version 1, one barrier, no
+    // sessions, no reject tallies.
+    std::vector<std::uint8_t> header;
+    io::StateWriter h(header);
+    h.u32(0x4B464953);
+    h.u16(1);
+    h.u64(0);
+    h.u32(0);
+    h.u32(0);
+    std::vector<std::uint8_t> file;
+    io::append_frame(file, header);
+    io::write_file_atomic(dir.path + "/checkpoint.bin", file);
+  }
+
+  FaultInjector injector(fault_config());
+  durable::Durability durability(dir.path);
+  FleetConfig config = engine_config();
+  config.injector = &injector;
+  config.durability = &durability;
+  FleetEngine engine(fixture_->provider(), config);
+  const durable::RecoveryResult recovered = durability.recover_into(engine);
+  EXPECT_FALSE(recovered.checkpoint_loaded) << "v1 checkpoints are retired";
+  EXPECT_EQ(recovered.sessions_restored, 0u);
+  EXPECT_GT(recovered.frames_replayed, 0u);
+  replay_resume(engine, *fixture_, recovered.cursors, &injector);
+  durability.flush();
+
+  RunArtifacts got;
+  got.outcomes = collect(engine);
+  got.rejects = collect_rejects(engine);
+  got.journal = journal_by_user(dir.path);
+  expect_matches_control(got, want, "v1 checkpoint");
 }
 
 // A corrupted current checkpoint falls back to the rotated previous

@@ -7,11 +7,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "fleet/bounded_queue.hpp"
 #include "fleet/spsc_ring.hpp"
 
 namespace sift::fleet {
@@ -112,21 +112,23 @@ TEST(SpscRingTest, ShedRequestsAccumulateAndClaimOnce) {
   EXPECT_EQ(ring.take_shed_requests(), 0u) << "claims are consumed";
 }
 
-// The ring must deliver the exact same stream as the mutexed BoundedQueue
-// it replaced: feed both the same input and compare outputs element-wise.
+// The ring must deliver exactly the stream of a plain FIFO: feed the ring
+// and a std::deque model the same input, drain in irregular batches, and
+// compare element-wise.
 TEST(SpscRingTest, BitIdenticalToBoundedQueueReference) {
   SpscRing<std::uint64_t> ring(256);
-  BoundedQueue<std::uint64_t> queue(256, BackpressurePolicy::kBlock);
+  std::deque<std::uint64_t> fifo;
   std::uint32_t state = 0x9E3779B9u;
   std::vector<std::uint64_t> from_ring;
-  std::vector<std::uint64_t> from_queue;
+  std::vector<std::uint64_t> from_fifo;
   std::vector<std::uint64_t> scratch;
   const auto drain_both = [&] {
     scratch.clear();
     while (ring.pop_n(scratch, 64) > 0) {
     }
     from_ring.insert(from_ring.end(), scratch.begin(), scratch.end());
-    while (auto out = queue.try_pop()) from_queue.push_back(*out);
+    from_fifo.insert(from_fifo.end(), fifo.begin(), fifo.end());
+    fifo.clear();
   };
   for (int i = 0; i < 5000; ++i) {
     state = state * 1664525u + 1013904223u;  // deterministic LCG
@@ -135,14 +137,14 @@ TEST(SpscRingTest, BitIdenticalToBoundedQueueReference) {
         static_cast<std::uint64_t>(i);
     std::uint64_t v1 = value;
     ASSERT_TRUE(ring.try_push(v1));
-    ASSERT_TRUE(queue.push(value).accepted);
+    fifo.push_back(value);
     if ((state & 7u) == 0) drain_both();  // drain in irregular batches
   }
   drain_both();
-  ASSERT_EQ(from_ring.size(), from_queue.size());
+  ASSERT_EQ(from_ring.size(), from_fifo.size());
   ASSERT_EQ(from_ring.size(), 5000u);
   for (std::size_t i = 0; i < from_ring.size(); ++i) {
-    ASSERT_EQ(from_ring[i], from_queue[i]) << "diverged at element " << i;
+    ASSERT_EQ(from_ring[i], from_fifo[i]) << "diverged at element " << i;
   }
 }
 

@@ -37,6 +37,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -589,101 +590,211 @@ int cmd_profile(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_fleet(std::span<const std::string> args) {
-  fleet::ReplayConfig replay;
+// Engine set-up shared by `fleet` and `serve`: the flags both accept, the
+// optional cohort model store, durability, warm-load, recovery and the
+// background checkpointer. Member order is the teardown contract: the
+// checkpointer stops before the engine dies, and the engine before the
+// durability layer and the model store it points into.
+struct EngineHost {
+  explicit EngineHost(const char* command) : cmd(command) {}
+  // The checkpointer thread holds `this`.
+  EngineHost(const EngineHost&) = delete;
+  EngineHost& operator=(const EngineHost&) = delete;
+
+  const char* cmd;  ///< command name, the prefix of every status line
   fleet::FleetConfig config;
-  std::size_t producers = 4;
-  bool chaos = false;
-  std::uint64_t chaos_seed = 1;
   std::string checkpoint_dir;
   std::string model_store_dir;
   std::size_t checkpoint_interval_ms = 500;
   bool recover = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--recover") {
-      recover = true;
-      continue;
+
+  std::optional<cohort::ModelStore> model_store;
+  std::vector<int> manifest;
+  fleet::TieredModelProvider store_provider;
+  std::optional<fleet::durable::Durability> durability;
+  std::optional<fleet::FleetEngine> engine;
+  fleet::durable::RecoveryResult recovered;
+  std::jthread checkpointer;
+
+  /// Parses the command line: shared flags land here (and --models in
+  /// @p replay), every other flag goes to @p own, which returns false for
+  /// a flag it does not know. False means a malformed command line.
+  bool parse(std::span<const std::string> args, fleet::ReplayConfig& replay,
+             const std::function<bool(const std::string& flag,
+                                      const std::string& value)>& own) {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::string& flag = args[i];
+      if (flag == "--recover") {
+        recover = true;
+        continue;
+      }
+      if (flag == "--pin-cores") {
+        config.pin_cores = true;
+        continue;
+      }
+      if (i + 1 >= args.size()) return false;
+      const std::string& value = args[++i];
+      if (flag == "--workers") {
+        config.workers = std::stoul(value);
+      } else if (flag == "--shards") {
+        config.shards = std::stoul(value);
+      } else if (flag == "--queue-capacity") {
+        config.queue_capacity = std::stoul(value);
+      } else if (flag == "--max-batch") {
+        config.max_batch = std::stoul(value);
+      } else if (flag == "--models") {
+        replay.distinct_users = std::stoul(value);
+      } else if (flag == "--checkpoint-dir") {
+        checkpoint_dir = value;
+      } else if (flag == "--checkpoint-interval") {
+        checkpoint_interval_ms = std::stoul(value);
+      } else if (flag == "--model-store") {
+        model_store_dir = value;
+      } else if (flag == "--policy") {
+        if (value == "block") {
+          config.backpressure = fleet::BackpressurePolicy::kBlock;
+        } else if (value == "drop-oldest") {
+          config.backpressure = fleet::BackpressurePolicy::kDropOldest;
+        } else {
+          return false;
+        }
+      } else if (!own(flag, value)) {
+        return false;
+      }
     }
-    if (flag == "--pin-cores") {
-      config.pin_cores = true;
-      continue;
+    config.model_cache_capacity =
+        std::max<std::size_t>(1, replay.distinct_users);
+    return true;
+  }
+
+  /// Opens the model store (--model-store) and the durability directory
+  /// (--checkpoint-dir). Returns the exit code to stop with, or 0.
+  int open() {
+    // Detection models from a cohort-trained store: sessions map onto the
+    // manifest round-robin, and the registry loads them off disk.
+    if (!model_store_dir.empty()) {
+      model_store.emplace(model_store_dir);
+      manifest = model_store->read_manifest();
+      if (manifest.empty()) {
+        std::fprintf(stderr, "%s: no manifest in %s (run siftctl cohort "
+                     "train first)\n", cmd, model_store_dir.c_str());
+        return 1;
+      }
+      config.model_cache_capacity = manifest.size();
+      store_provider = [inner = model_store->provider(),
+                        ids = manifest](int user_id,
+                                        core::DetectorVersion version) {
+        return inner(ids[static_cast<std::size_t>(user_id) % ids.size()],
+                     version);
+      };
     }
-    if (i + 1 >= args.size()) return usage();
-    const std::string& value = args[++i];
+    if (!checkpoint_dir.empty()) {
+      std::filesystem::create_directories(checkpoint_dir);
+      durability.emplace(checkpoint_dir);
+      config.durability = &*durability;
+    } else if (recover) {
+      std::fprintf(stderr, "%s: --recover needs --checkpoint-dir\n", cmd);
+      return usage();
+    }
+    return 0;
+  }
+
+  /// Starts the engine over @p provider, warm-loads the store's manifest,
+  /// recovers (--recover) and starts the background checkpoint cadence.
+  template <typename Provider>
+  fleet::FleetEngine& start(Provider provider) {
+    engine.emplace(std::move(provider), config);
+    if (model_store) {
+      const auto warm_start = std::chrono::steady_clock::now();
+      const std::size_t warm = engine->models().warm_load(
+          manifest, core::DetectorVersion::kOriginal);
+      std::fprintf(
+          stderr, "%s: warm-loaded %zu/%zu model(s) from %s in %.0f ms\n",
+          cmd, warm, manifest.size(), model_store_dir.c_str(),
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - warm_start)
+              .count());
+    }
+    if (recover) {
+      recovered = durability->recover_into(*engine);
+      std::fprintf(stderr,
+                   "%s: recovered %zu session(s) from %s "
+                   "(checkpoint %s, %llu journal frame(s), %llu torn "
+                   "tail(s) truncated)\n",
+                   cmd, recovered.sessions_restored, checkpoint_dir.c_str(),
+                   recovered.checkpoint_loaded ? "loaded" : "absent",
+                   static_cast<unsigned long long>(recovered.frames_replayed),
+                   static_cast<unsigned long long>(
+                       recovered.frames_discarded_torn));
+    }
+    // The way a deployment runs it: the snapshot thread races live ingest
+    // on purpose (checkpoints are taken under the shard locks, so this is
+    // safe by construction).
+    if (durability) {
+      checkpointer = std::jthread([this](std::stop_token stop) {
+        const auto interval = std::chrono::milliseconds(
+            std::max<std::size_t>(1, checkpoint_interval_ms));
+        while (!stop.stop_requested()) {
+          std::this_thread::sleep_for(interval);
+          if (stop.stop_requested()) break;
+          durability->checkpoint(*engine);
+        }
+      });
+    }
+    return *engine;
+  }
+
+  /// Stops the checkpointer, then checkpoints the drained tail.
+  void finish() {
+    if (checkpointer.joinable()) {
+      checkpointer.request_stop();
+      checkpointer.join();
+    }
+    if (durability) durability->checkpoint(*engine);
+  }
+};
+
+int cmd_fleet(std::span<const std::string> args) {
+  fleet::ReplayConfig replay;
+  std::size_t producers = 4;
+  bool chaos = false;
+  std::uint64_t chaos_seed = 1;
+  // Both outlive the engine the host owns: it calls into them until drain.
+  std::optional<fleet::ReplayFixture> fixture;
+  std::unique_ptr<fleet::FaultInjector> injector;
+  EngineHost host("fleet");
+  const bool parsed = host.parse(args, replay, [&](const std::string& flag,
+                                                   const std::string& value) {
     if (flag == "--sessions") {
       replay.sessions = std::stoul(value);
     } else if (flag == "--seconds") {
       replay.seconds = std::stod(value);
-    } else if (flag == "--workers") {
-      config.workers = std::stoul(value);
-    } else if (flag == "--shards") {
-      config.shards = std::stoul(value);
-    } else if (flag == "--queue-capacity") {
-      config.queue_capacity = std::stoul(value);
-    } else if (flag == "--max-batch") {
-      config.max_batch = std::stoul(value);
     } else if (flag == "--producers") {
       producers = std::stoul(value);
-    } else if (flag == "--models") {
-      replay.distinct_users = std::stoul(value);
     } else if (flag == "--chaos") {
       chaos = true;
       chaos_seed = std::stoull(value);
-    } else if (flag == "--checkpoint-dir") {
-      checkpoint_dir = value;
-    } else if (flag == "--checkpoint-interval") {
-      checkpoint_interval_ms = std::stoul(value);
-    } else if (flag == "--model-store") {
-      model_store_dir = value;
-    } else if (flag == "--policy") {
-      if (value == "block") {
-        config.backpressure = fleet::BackpressurePolicy::kBlock;
-      } else if (value == "drop-oldest") {
-        config.backpressure = fleet::BackpressurePolicy::kDropOldest;
-      } else {
-        return usage();
-      }
     } else {
-      return usage();
+      return false;
     }
-  }
-  config.model_cache_capacity = std::max<std::size_t>(1, replay.distinct_users);
+    return true;
+  });
+  if (!parsed) return usage();
   replay.train_all_tiers = chaos;  // chaos exercises the degradation ladder
-
-  // Detection models from a cohort-trained store: sessions map onto the
-  // manifest round-robin. The fixture is then only the packet synthesiser,
-  // so its own (unused) model training is cut to the minimum the build
-  // path accepts.
-  std::optional<cohort::ModelStore> model_store;
-  std::vector<int> manifest;
-  fleet::TieredModelProvider store_provider;
-  if (!model_store_dir.empty()) {
-    model_store.emplace(model_store_dir);
-    manifest = model_store->read_manifest();
-    if (manifest.empty()) {
-      std::fprintf(stderr, "fleet: no manifest in %s (run siftctl cohort "
-                   "train first)\n", model_store_dir.c_str());
-      return 1;
-    }
-    config.model_cache_capacity = manifest.size();
-    store_provider = [inner = model_store->provider(),
-                      ids = manifest](int user_id,
-                                      core::DetectorVersion version) {
-      return inner(ids[static_cast<std::size_t>(user_id) % ids.size()],
-                   version);
-    };
-    replay.train_seconds = 12.0;
-  }
+  if (const int rc = host.open(); rc != 0) return rc;
+  fleet::FleetConfig& config = host.config;
+  // With a model store the fixture is only the packet synthesiser, so its
+  // own (unused) model training is cut to the minimum the build path
+  // accepts.
+  if (host.model_store) replay.train_seconds = 12.0;
 
   std::fprintf(stderr,
                "fleet: training %zu model(s)%s, synthesising %zu session(s) "
                "of %.0f s...\n",
                replay.distinct_users, chaos ? " x3 tiers" : "",
                replay.sessions, replay.seconds);
-  const auto fixture = fleet::ReplayFixture::build(replay);
+  fixture.emplace(fleet::ReplayFixture::build(replay));
 
-  std::unique_ptr<fleet::FaultInjector> injector;
   if (chaos) {
     // A representative schedule touching every injection point: the first
     // few sessions get payload corruption, the next few a flaky provider
@@ -711,101 +822,40 @@ int cmd_fleet(std::span<const std::string> args) {
     config.load_shed.high_watermark = config.queue_capacity / 2;
   }
 
-  std::optional<fleet::durable::Durability> durability;
-  if (!checkpoint_dir.empty()) {
-    std::filesystem::create_directories(checkpoint_dir);
-    durability.emplace(checkpoint_dir);
-    config.durability = &*durability;
-  } else if (recover) {
-    std::fprintf(stderr, "fleet: --recover needs --checkpoint-dir\n");
-    return usage();
-  }
-
-  std::optional<fleet::FleetEngine> engine_holder;
-  if (store_provider) {
-    engine_holder.emplace(chaos ? injector->wrap_provider(store_provider)
-                                : store_provider,
-                          config);
-  } else if (chaos) {
-    engine_holder.emplace(injector->wrap_provider(fixture.provider_tiered()),
-                          config);
-  } else {
-    engine_holder.emplace(fixture.provider(), config);
-  }
-  fleet::FleetEngine& engine = *engine_holder;
-
-  if (model_store) {
-    const auto warm_start = std::chrono::steady_clock::now();
-    const std::size_t warm =
-        engine.models().warm_load(manifest, core::DetectorVersion::kOriginal);
-    std::fprintf(
-        stderr, "fleet: warm-loaded %zu/%zu model(s) from %s in %.0f ms\n",
-        warm, manifest.size(), model_store_dir.c_str(),
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - warm_start)
-            .count());
-  }
-
-  fleet::durable::RecoveryResult recovered;
-  if (recover) {
-    recovered = durability->recover_into(engine);
-    std::fprintf(stderr,
-                 "fleet: recovered %zu session(s) from %s "
-                 "(checkpoint %s, %llu journal frame(s), %llu torn "
-                 "tail(s) truncated)\n",
-                 recovered.sessions_restored, checkpoint_dir.c_str(),
-                 recovered.checkpoint_loaded ? "loaded" : "absent",
-                 static_cast<unsigned long long>(recovered.frames_replayed),
-                 static_cast<unsigned long long>(
-                     recovered.frames_discarded_torn));
-  }
+  // Chaos needs the tiered ladder; a plain fixture run serves one tier.
+  fleet::TieredModelProvider tiered = host.store_provider;
+  if (!tiered && chaos) tiered = fixture->provider_tiered();
+  if (chaos) tiered = injector->wrap_provider(std::move(tiered));
+  fleet::FleetEngine& engine = tiered ? host.start(std::move(tiered))
+                                      : host.start(fixture->provider());
 
   std::fprintf(stderr,
                "fleet: replaying %zu packets over %zu worker(s), %zu "
                "shard(s), policy %s...\n",
-               fixture.total_packets(), engine.workers(), config.shards,
+               fixture->total_packets(), engine.workers(), config.shards,
                fleet::to_string(config.backpressure));
 
-  // Background checkpoint cadence, the way a deployment would run it: the
-  // snapshot thread races live ingest on purpose (checkpoints are taken
-  // under the shard locks, so this is safe by construction).
-  std::jthread checkpointer;
-  if (durability) {
-    checkpointer = std::jthread([&](std::stop_token stop) {
-      const auto interval =
-          std::chrono::milliseconds(std::max<std::size_t>(
-              1, checkpoint_interval_ms));
-      while (!stop.stop_requested()) {
-        std::this_thread::sleep_for(interval);
-        if (stop.stop_requested()) break;
-        durability->checkpoint(engine);
-      }
-    });
-  }
-
   const auto result =
-      recover ? fleet::replay_resume(engine, fixture, recovered.cursors,
-                                     injector.get())
-              : fleet::replay_through(engine, fixture, producers,
-                                      injector.get());
-  if (checkpointer.joinable()) {
-    checkpointer.request_stop();
-    checkpointer.join();
-  }
-  if (durability) {
-    durability->checkpoint(engine);  // final: cover the drained tail
+      host.recover ? fleet::replay_resume(engine, *fixture,
+                                          host.recovered.cursors,
+                                          injector.get())
+                   : fleet::replay_through(engine, *fixture, producers,
+                                           injector.get());
+  host.finish();
+  if (host.durability) {
+    const auto& durability = *host.durability;
     std::fprintf(stderr,
                  "durable: %llu checkpoint(s), %llu journal bytes over %zu "
                  "segment(s), %llu verdict(s) journaled, %llu "
                  "deduplicated\n",
                  static_cast<unsigned long long>(
-                     durability->checkpoints_written()),
-                 static_cast<unsigned long long>(durability->journal_bytes()),
-                 durability->segment_count(),
+                     durability.checkpoints_written()),
+                 static_cast<unsigned long long>(durability.journal_bytes()),
+                 durability.segment_count(),
                  static_cast<unsigned long long>(
-                     durability->journal_appends()),
+                     durability.journal_appends()),
                  static_cast<unsigned long long>(
-                     durability->frames_deduplicated()));
+                     durability.frames_deduplicated()));
   }
 
   const double secs =
@@ -858,40 +908,22 @@ void handle_stop_signal(int) { g_stop_requested = 1; }
 int cmd_serve(std::span<const std::string> args) {
   std::string listen;
   fleet::ReplayConfig replay;
-  fleet::FleetConfig config;
   net::NetServerConfig net_config;
-  std::string checkpoint_dir;
-  std::string model_store_dir;
-  std::size_t checkpoint_interval_ms = 500;
-  bool recover = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--recover") {
-      recover = true;
-      continue;
-    }
-    if (flag == "--pin-cores") {
-      config.pin_cores = true;
-      continue;
-    }
-    if (i + 1 >= args.size()) return usage();
-    const std::string& value = args[++i];
+  // The pool and the fixture outlive the engine the host owns
+  // (packet_return fires from workers until drain, and the fixture's
+  // provider serves model loads), and the engine outlives the server —
+  // declaration order is the teardown contract.
+  net::PacketPool pool;
+  std::optional<fleet::ReplayFixture> fixture;
+  EngineHost host("serve");
+  const bool parsed = host.parse(args, replay, [&](const std::string& flag,
+                                                   const std::string& value) {
     if (flag == "--listen") {
       listen = value;
-    } else if (flag == "--models") {
-      replay.distinct_users = std::stoul(value);
     } else if (flag == "--train-seconds") {
       replay.train_seconds = std::stod(value);
     } else if (flag == "--seed") {
       replay.seed = std::stoull(value);
-    } else if (flag == "--workers") {
-      config.workers = std::stoul(value);
-    } else if (flag == "--shards") {
-      config.shards = std::stoul(value);
-    } else if (flag == "--queue-capacity") {
-      config.queue_capacity = std::stoul(value);
-    } else if (flag == "--max-batch") {
-      config.max_batch = std::stoul(value);
     } else if (flag == "--max-connections") {
       net_config.max_connections = std::stoul(value);
     } else if (flag == "--idle-timeout-ms") {
@@ -902,124 +934,39 @@ int cmd_serve(std::span<const std::string> args) {
       net_config.rate_limit_pps = std::stod(value);
     } else if (flag == "--accept-burst") {
       net_config.accept_burst = std::stoul(value);
-    } else if (flag == "--checkpoint-dir") {
-      checkpoint_dir = value;
-    } else if (flag == "--checkpoint-interval") {
-      checkpoint_interval_ms = std::stoul(value);
-    } else if (flag == "--model-store") {
-      model_store_dir = value;
-    } else if (flag == "--policy") {
-      if (value == "block") {
-        config.backpressure = fleet::BackpressurePolicy::kBlock;
-      } else if (value == "drop-oldest") {
-        config.backpressure = fleet::BackpressurePolicy::kDropOldest;
-      } else {
-        return usage();
-      }
     } else {
-      return usage();
+      return false;
     }
-  }
-  if (listen.empty()) return usage();
+    return true;
+  });
+  if (!parsed || listen.empty()) return usage();
   net_config.listen = listen;
-  config.model_cache_capacity =
-      std::max<std::size_t>(1, replay.distinct_users);
+  if (const int rc = host.open(); rc != 0) return rc;
 
   // With a model store the gateway trains nothing: models come off disk
-  // through the registry (manifest warm-load below), which is what lets a
+  // through the registry (manifest warm-load), which is what lets a
   // 10k-user gateway start in well under a second.
-  std::optional<cohort::ModelStore> model_store;
-  std::vector<int> manifest;
-  fleet::TieredModelProvider store_provider;
-  std::optional<fleet::ReplayFixture> fixture;
-  if (!model_store_dir.empty()) {
-    model_store.emplace(model_store_dir);
-    manifest = model_store->read_manifest();
-    if (manifest.empty()) {
-      std::fprintf(stderr, "serve: no manifest in %s (run siftctl cohort "
-                   "train first)\n", model_store_dir.c_str());
-      return 1;
-    }
-    config.model_cache_capacity = manifest.size();
-    store_provider = [inner = model_store->provider(),
-                      ids = manifest](int user_id,
-                                      core::DetectorVersion version) {
-      return inner(ids[static_cast<std::size_t>(user_id) % ids.size()],
-                   version);
-    };
+  if (host.model_store) {
     std::fprintf(stderr, "serve: %zu model(s) from store %s\n",
-                 manifest.size(), model_store_dir.c_str());
+                 host.manifest.size(), host.model_store_dir.c_str());
   } else {
     std::fprintf(stderr, "serve: training %zu model(s) (%.0f s each)...\n",
                  replay.distinct_users, replay.train_seconds);
     fixture.emplace(fleet::ReplayFixture::build_models_only(replay));
   }
 
-  std::optional<fleet::durable::Durability> durability;
-  if (!checkpoint_dir.empty()) {
-    std::filesystem::create_directories(checkpoint_dir);
-    durability.emplace(checkpoint_dir);
-    config.durability = &*durability;
-  } else if (recover) {
-    std::fprintf(stderr, "serve: --recover needs --checkpoint-dir\n");
-    return usage();
-  }
-
-  // The pool outlives the engine (packet_return fires from workers until
-  // drain) and the engine outlives the server — declaration order is the
-  // teardown contract.
-  net::PacketPool pool;
-  config.packet_return = pool.returner();
-  std::optional<fleet::FleetEngine> engine_holder;
-  if (store_provider) {
-    engine_holder.emplace(store_provider, config);
-  } else {
-    engine_holder.emplace(fixture->provider(), config);
-  }
-  fleet::FleetEngine& engine = *engine_holder;
-
-  if (model_store) {
-    const auto warm_start = std::chrono::steady_clock::now();
-    const std::size_t warm =
-        engine.models().warm_load(manifest, core::DetectorVersion::kOriginal);
-    std::fprintf(
-        stderr, "serve: warm-loaded %zu/%zu model(s) in %.0f ms\n", warm,
-        manifest.size(),
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - warm_start)
-            .count());
-  }
-
-  if (recover) {
-    const auto recovered = durability->recover_into(engine);
-    std::fprintf(stderr,
-                 "serve: recovered %zu session(s) (checkpoint %s, %llu "
-                 "journal frame(s))\n",
-                 recovered.sessions_restored,
-                 recovered.checkpoint_loaded ? "loaded" : "absent",
-                 static_cast<unsigned long long>(recovered.frames_replayed));
-  }
+  host.config.packet_return = pool.returner();
+  fleet::FleetEngine& engine = host.store_provider
+                                   ? host.start(host.store_provider)
+                                   : host.start(fixture->provider());
 
   net::NetServer server(engine, net_config, &pool);
   server.start();
   std::fprintf(stderr,
                "serve: listening on %s (%zu worker(s), %zu shard(s), "
                "policy %s); SIGTERM to drain\n",
-               server.address().c_str(), engine.workers(), config.shards,
-               fleet::to_string(config.backpressure));
-
-  std::jthread checkpointer;
-  if (durability) {
-    checkpointer = std::jthread([&](std::stop_token stop) {
-      const auto interval = std::chrono::milliseconds(
-          std::max<std::size_t>(1, checkpoint_interval_ms));
-      while (!stop.stop_requested()) {
-        std::this_thread::sleep_for(interval);
-        if (stop.stop_requested()) break;
-        durability->checkpoint(engine);
-      }
-    });
-  }
+               server.address().c_str(), engine.workers(), host.config.shards,
+               fleet::to_string(host.config.backpressure));
 
   g_stop_requested = 0;
   struct sigaction action = {};
@@ -1033,11 +980,7 @@ int cmd_serve(std::span<const std::string> args) {
   std::fprintf(stderr, "serve: draining...\n");
   server.stop();    // flush buffered frames into the engine, close sockets
   engine.drain();   // classify everything accepted
-  if (checkpointer.joinable()) {
-    checkpointer.request_stop();
-    checkpointer.join();
-  }
-  if (durability) durability->checkpoint(engine);
+  host.finish();
 
   auto& metrics = engine.metrics();
   std::fprintf(
