@@ -17,6 +17,12 @@ namespace sift::fleet {
 
 namespace {
 
+/// Ingesting threads that get a private lock-free lane to every worker.
+/// The last slot is a mutex-serialised overflow shared by any further
+/// threads, so correctness never depends on this bound. Thread slots are
+/// recycled through a token pool when producer threads exit.
+constexpr std::size_t kProducerSlots = 8;
+
 /// Explicit worker counts are clamped to the machine: running more workers
 /// than cores only adds context-switch noise (the historical workers=4
 /// default on a 1-core container is why fleet benchmarks were advisory).
@@ -30,7 +36,6 @@ FleetConfig resolve_validation(FleetConfig config) {
   if (config.validation.expected_samples == 0) {
     config.validation.expected_samples = config.station.samples_per_packet;
   }
-  if (config.max_producers < 2) config.max_producers = 2;
   return config;
 }
 
@@ -126,16 +131,16 @@ void FleetEngine::resolve_instruments() {
 
   const std::size_t n_workers =
       std::min(resolve_workers(config_.workers), config_.shards);
-  slots_.reserve(config_.max_producers);
-  for (std::size_t p = 0; p < config_.max_producers; ++p) {
+  slots_.reserve(kProducerSlots);
+  for (std::size_t p = 0; p < kProducerSlots; ++p) {
     slots_.push_back(std::make_unique<ProducerSlot>());
   }
   worker_states_.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
     auto state = std::make_unique<WorkerState>();
     state->index = w;
-    state->rings.reserve(config_.max_producers);
-    for (std::size_t p = 0; p < config_.max_producers; ++p) {
+    state->rings.reserve(kProducerSlots);
+    for (std::size_t p = 0; p < kProducerSlots; ++p) {
       state->rings.push_back(
           std::make_unique<SpscRing<Envelope>>(config_.queue_capacity));
     }
@@ -285,9 +290,8 @@ IngestStatus FleetEngine::ingest_impl(int user_id, wiot::Packet& packet,
   // Validation gate: a NaN sample or an insane sequence number must never
   // reach a ring, let alone a worker. Rejects are charged to the
   // session so one hostile wearer's garbage is visible as *their* problem.
-  if (config_.validate_ingest &&
-      wiot::validate_packet(packet, config_.validation) !=
-          wiot::PacketFault::kNone) {
+  if (wiot::validate_packet(packet, config_.validation) !=
+      wiot::PacketFault::kNone) {
     std::lock_guard lock(reject_mu_);
     RejectState& st = rejects_by_user_[user_id];
     if (config_.durability) {

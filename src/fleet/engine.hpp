@@ -136,21 +136,15 @@ struct FleetConfig {
   /// session-table shard lock, amortising lock costs while keeping
   /// per-user FIFO order (0 is treated as 1 = unbatched).
   std::size_t max_batch = 16;
-  /// Ingesting threads that get a private lock-free lane to every worker.
-  /// The last slot is a mutex-serialised overflow shared by any further
-  /// threads, so correctness never depends on this bound. Thread slots are
-  /// recycled through a token pool when producer threads exit.
-  std::size_t max_producers = 8;
   /// Pin worker w to core w (pthread affinity, Linux only; no-op
   /// elsewhere). Off by default: tests and embedders share machines.
   bool pin_cores = false;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   std::size_t model_cache_capacity = 64;  ///< LRU registry residency bound
   wiot::BaseStation::Config station;      ///< per-session window config
-  /// Ingest-side packet validation (fleet.packets_rejected). When
+  /// Ingest-side packet validation limits (fleet.packets_rejected). When
   /// validation.expected_samples is 0 it is pinned to
   /// station.samples_per_packet at construction.
-  bool validate_ingest = true;
   wiot::ValidationLimits validation;
   BreakerPolicy breaker;  ///< model-load retry/backoff/breaker policy
   SupervisionConfig supervision;

@@ -42,17 +42,14 @@ ModelRegistry::ModelRegistry(TieredModelProvider provider, std::size_t capacity,
   }
 }
 
-std::shared_ptr<const core::UserModel> ModelRegistry::load(int user_id,
-                                                           int tier) {
-  if (tier == kDefaultTier) {
-    return provider_ ? provider_(user_id)
-                     : tiered_provider_(user_id, core::DetectorVersion::kOriginal);
-  }
-  return tiered_provider_(user_id, static_cast<core::DetectorVersion>(tier));
+std::shared_ptr<const core::UserModel> ModelRegistry::load(
+    int user_id, core::DetectorVersion version) {
+  return provider_ ? provider_(user_id) : tiered_provider_(user_id, version);
 }
 
-ModelRegistry::Lease ModelRegistry::acquire_locked(int user_id, int tier) {
-  const Key key = make_key(user_id, tier);
+ModelRegistry::Lease ModelRegistry::acquire_locked(
+    int user_id, core::DetectorVersion version) {
+  const Key key = make_key(user_id, version);
   if (auto it = index_.find(key); it != index_.end()) {
     ++hits_;
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -71,7 +68,7 @@ ModelRegistry::Lease ModelRegistry::acquire_locked(int user_id, int tier) {
   if (breaker.consecutive_failures() > 0) ++provider_retries_;
   std::shared_ptr<const core::UserModel> model;
   try {
-    model = load(user_id, tier);
+    model = load(user_id, version);
   } catch (...) {
     model = nullptr;
   }
@@ -94,14 +91,14 @@ ModelRegistry::Lease ModelRegistry::acquire_locked(int user_id, int tier) {
 
 ModelRegistry::Lease ModelRegistry::try_acquire(int user_id) {
   std::lock_guard lock(mu_);
-  return acquire_locked(user_id, kDefaultTier);
+  return acquire_locked(user_id, core::DetectorVersion::kOriginal);
 }
 
 ModelRegistry::Lease ModelRegistry::try_acquire(int user_id,
                                                 core::DetectorVersion version) {
   std::lock_guard lock(mu_);
   if (!tiered_provider_) return {nullptr, AcquireStatus::kUnavailable};
-  return acquire_locked(user_id, static_cast<int>(version));
+  return acquire_locked(user_id, version);
 }
 
 std::size_t ModelRegistry::warm_load(
@@ -110,8 +107,8 @@ std::size_t ModelRegistry::warm_load(
   // 64 acquires per lock acquisition: large enough to amortise the lock,
   // small enough that foreground try_acquire traffic never waits long.
   constexpr std::size_t kBatch = 64;
-  const int tier =
-      version ? static_cast<int>(*version) : kDefaultTier;
+  const core::DetectorVersion tier =
+      version.value_or(core::DetectorVersion::kOriginal);
   std::size_t loaded = 0;
   for (std::size_t base = 0; base < user_ids.size(); base += kBatch) {
     const std::size_t end = std::min(base + kBatch, user_ids.size());
@@ -178,17 +175,10 @@ std::size_t ModelRegistry::open_breakers() const {
   return open;
 }
 
-CircuitBreaker::State ModelRegistry::breaker_state(int user_id) const {
-  std::lock_guard lock(mu_);
-  const auto it = breakers_.find(make_key(user_id, kDefaultTier));
-  return it == breakers_.end() ? CircuitBreaker::State::kClosed
-                               : it->second.state();
-}
-
 CircuitBreaker::State ModelRegistry::breaker_state(
     int user_id, core::DetectorVersion version) const {
   std::lock_guard lock(mu_);
-  const auto it = breakers_.find(make_key(user_id, static_cast<int>(version)));
+  const auto it = breakers_.find(make_key(user_id, version));
   return it == breakers_.end() ? CircuitBreaker::State::kClosed
                                : it->second.state();
 }

@@ -80,8 +80,10 @@ class ModelRegistry {
   std::shared_ptr<const core::UserModel> acquire(int user_id);
 
   /// Non-throwing acquire through the backoff/breaker machinery. The
-  /// default-tier overload serves whatever the provider's natural artefact
-  /// is; the tier overload requires a TieredModelProvider.
+  /// default overload serves the Original tier (a plain provider's natural
+  /// artefact) and shares its cache entry and breaker with an explicit
+  /// kOriginal request, so a warm-loaded Original model serves a session's
+  /// first acquire. The tier overload requires a TieredModelProvider.
   Lease try_acquire(int user_id);
   Lease try_acquire(int user_id, core::DetectorVersion version);
 
@@ -114,25 +116,25 @@ class ModelRegistry {
   std::uint64_t breaker_opens() const;
   std::size_t open_breakers() const;
 
-  /// State of the default-tier breaker for @p user_id (kClosed if the user
-  /// has never failed).
-  CircuitBreaker::State breaker_state(int user_id) const;
-  CircuitBreaker::State breaker_state(int user_id,
-                                      core::DetectorVersion version) const;
+  /// State of @p user_id's breaker for @p version (kClosed if that load
+  /// has never failed). The default reads the key a default acquire uses.
+  CircuitBreaker::State breaker_state(
+      int user_id,
+      core::DetectorVersion version = core::DetectorVersion::kOriginal) const;
 
  private:
-  /// Cache/breaker key: user id plus tier (kDefaultTier = the plain
-  /// provider's natural artefact).
-  static constexpr int kDefaultTier = -1;
+  /// Cache/breaker key: user id plus tier. A plain provider's natural
+  /// artefact is keyed as kOriginal.
   using Key = std::int64_t;
-  static Key make_key(int user_id, int tier) noexcept {
-    return (static_cast<Key>(user_id) << 2) | static_cast<Key>(tier + 1);
+  static Key make_key(int user_id, core::DetectorVersion version) noexcept {
+    return (static_cast<Key>(user_id) << 2) | static_cast<Key>(version);
   }
 
   using LruList = std::list<std::pair<Key, std::shared_ptr<const core::UserModel>>>;
 
-  Lease acquire_locked(int user_id, int tier);
-  std::shared_ptr<const core::UserModel> load(int user_id, int tier);
+  Lease acquire_locked(int user_id, core::DetectorVersion version);
+  std::shared_ptr<const core::UserModel> load(int user_id,
+                                              core::DetectorVersion version);
 
   ModelProvider provider_;
   TieredModelProvider tiered_provider_;

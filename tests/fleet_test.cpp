@@ -354,6 +354,28 @@ TEST(ModelRegistry, WarmLoadTierRequiresTieredProvider) {
   EXPECT_EQ(registry.warm_load(ids), 3u) << "default tier works untiered";
 }
 
+// A model-store gateway warm-loads the Original tier, then sessions make
+// their first acquire through the default overload: both must name the
+// same cache entry, or the warm-load is wasted and each artefact sits in
+// the LRU twice.
+TEST(ModelRegistry, WarmLoadedOriginalServesDefaultAcquire) {
+  int calls = 0;
+  ModelRegistry registry(
+      TieredModelProvider([&](int, core::DetectorVersion) {
+        ++calls;
+        return std::make_shared<const core::UserModel>();
+      }),
+      8);
+  const std::vector<int> ids = {1, 2, 3};
+  EXPECT_EQ(registry.warm_load(ids, core::DetectorVersion::kOriginal), 3u);
+  EXPECT_EQ(calls, 3);
+  const auto hits = registry.hits();
+  ASSERT_NE(registry.try_acquire(1).model, nullptr);
+  EXPECT_EQ(registry.hits(), hits + 1);
+  EXPECT_EQ(calls, 3) << "served from the warm-loaded entry";
+  EXPECT_EQ(registry.resident(), 3u);
+}
+
 // 10k-user cohort scale: bulk warm-load, then LRU churn from concurrent
 // readers mixing hits (resident tail) and misses (evicted head) while a
 // writer thread keeps warm-loading — exercises eviction under contention.

@@ -1,40 +1,16 @@
 // siftctl — command-line front end for the SIFT library.
 //
 // Drives the whole pipeline from a shell, the way a downstream user (or a
-// provisioning server feeding Amulets) would:
-//
-//   siftctl cohort [n] [seed]                    list the synthetic cohort
-//   siftctl cohort gen [opts]             synthesise per-user compressed
-//                                         signal archives into a directory
-//   siftctl cohort extract [opts]         stream archives through the
-//                                         window walk + dedup (no training)
-//   siftctl cohort train [opts]           full offline pipeline: archives
-//                                         in, sharded model store out
-//   siftctl synth <user> <seconds> <out.csv>     generate a coupled trace
-//   siftctl peaks <trace.csv>                    run-time peak detection
-//   siftctl train <wearer.csv> <donor.csv>... -o <model.txt> [-v VERSION]
-//   siftctl detect <model.txt> <trace.csv>       classify every window
-//   siftctl attack <victim.csv> <donor.csv> <out.csv> [fraction]
-//   siftctl attack-matrix [opts]          score the full attack corpus
-//                                         against all three detector tiers
-//   siftctl emit-c <model.txt>                   Amulet-C translation unit
-//   siftctl emit-qm <model.txt>                  QM model XML
-//   siftctl check <source.c> [--no-libm]         Amulet-C static checker
-//   siftctl profile <model.txt> <trace.csv>      ARP-view resource profile
-//   siftctl fleet [opts]                  replay a cohort through the fleet
-//                                         engine, print a metrics report
-//   siftctl serve [opts]                  run the network ingest gateway
-//   siftctl drive [opts]                  closed-loop load driver against
-//                                         a running gateway (--chaos-net
-//                                         for wire-fault chaos senders)
-//   siftctl journal-dump <dir>            print a checkpoint dir's merged
-//                                         verdict journal
+// provisioning server feeding Amulets) would. Run it without arguments for
+// every command, its operands and its flags; that text is printed from the
+// same per-command flag tables the parser reads.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <concepts>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -44,7 +20,9 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "amulet/amulet_c_check.hpp"
@@ -76,102 +54,191 @@ namespace {
 
 using namespace sift;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: siftctl <command> [args]\n"
-               "  cohort [n] [seed]\n"
-               "  cohort gen --out DIR [--users N] [--seconds S]\n"
-               "        [--seed S] [--dup-frac F]\n"
-               "        write per-user compressed archives uNNNNNN.arc\n"
-               "  cohort extract --archives DIR [--workers N] [--donors K]\n"
-               "        stream + window walk + dedup, print counters\n"
-               "  cohort train --archives DIR --store DIR [--workers N]\n"
-               "        [--donors K]  train all three tiers per user into\n"
-               "        a sharded model store + warm-load manifest\n"
-               "  synth <user-index> <seconds> <out.csv> [seed] [salt]\n"
-               "  peaks <trace.csv>\n"
-               "  train <wearer.csv> <donor.csv>... -o <model.txt>"
-               " [-v Original|Simplified|Reduced]\n"
-               "  detect <model.txt> <trace.csv>\n"
-               "  attack <victim.csv> <donor.csv> <out.csv> [fraction]\n"
-               "  attack-matrix [--users N] [--seed S] [--train-s S]\n"
-               "        [--test-s S] [--fpr-budget F] [--json PATH]\n"
-               "        [--md PATH] [--smoke]\n"
-               "        runs every attack family against every detector\n"
-               "        tier; markdown to stdout, JSON snapshot to --json.\n"
-               "        --smoke is the reduced CI corpus (4 users, 4 min\n"
-               "        training)\n"
-               "  emit-c <model.txt>\n"
-               "  emit-qm <model.txt>\n"
-               "  check <source.c> [--no-libm]\n"
-               "  profile <model.txt> <trace.csv>\n"
-               "  fleet [--sessions N] [--seconds S] [--workers N]\n"
-               "        (--workers 0, the default, runs one worker per\n"
-               "         core; explicit counts are clamped to the cores\n"
-               "         actually present)\n"
-               "        [--pin-cores]    pin worker w to CPU core w\n"
-               "        [--shards N] [--queue-capacity N] [--max-batch N]\n"
-               "        [--producers N]\n"
-               "        [--policy block|drop-oldest] [--models K]\n"
-               "        [--chaos SEED]   inject a deterministic fault schedule\n"
-               "                         (corruption, provider failures,\n"
-               "                         worker throws, overload bursts)\n"
-               "        [--checkpoint-dir DIR]  journal every verdict and\n"
-               "                         checkpoint session state into DIR\n"
-               "        [--checkpoint-interval MS]  cadence (default 500)\n"
-               "        [--recover]      restore DIR's newest checkpoint and\n"
-               "                         resume the replay past its cursors\n"
-               "        [--model-store DIR]  serve detection models from a\n"
-               "                         `cohort train` store (manifest\n"
-               "                         warm-load; sessions map onto the\n"
-               "                         manifest round-robin)\n"
-               "  serve --listen ADDR   network ingest gateway (ADDR is\n"
-               "                         unix:PATH or tcp:HOST:PORT; port 0\n"
-               "                         picks an ephemeral port)\n"
-               "        [--models K] [--train-seconds S] [--seed N]\n"
-               "        [--workers N]    0 (default) = one per core, clamped\n"
-               "        [--pin-cores] [--shards N] [--queue-capacity N]\n"
-               "        [--max-batch N] [--policy block|drop-oldest]\n"
-               "        [--max-connections N] [--idle-timeout-ms MS]\n"
-               "        [--stall-timeout-ms MS]  reap write-stalled /\n"
-               "                         backpressure-parked peers (0 =\n"
-               "                         4 x idle timeout)\n"
-               "        [--rate-limit PPS]  per-connection leaky bucket;\n"
-               "                         over-rate packets are shed and\n"
-               "                         charge anti-replay suspicion\n"
-               "        [--accept-burst N]  accepts per listener wakeup\n"
-               "        [--checkpoint-dir DIR] [--checkpoint-interval MS]\n"
-               "        [--recover]\n"
-               "        [--model-store DIR]  skip in-process training and\n"
-               "                         serve models from a `cohort train`\n"
-               "                         store (manifest warm-load)\n"
-               "        SIGTERM/SIGINT drain gracefully and print a final\n"
-               "        metrics snapshot on stdout\n"
-               "  drive --connect ADDR  closed-loop load driver\n"
-               "        [--connections N] [--users N] [--seconds S]\n"
-               "        [--rate HZ] [--models K] [--seed N]\n"
-               "        [--samples-per-packet N] [--settle-timeout-ms MS]\n"
-               "        [--chaos-net SEED]  run every connection through a\n"
-               "                         deterministic wire-fault shim\n"
-               "                         (partial writes, stalls, resets,\n"
-               "                         mid-frame kills) with reconnect-\n"
-               "                         with-resume senders\n"
-               "        [--resume]       resuming senders on a clean wire\n"
-               "                         (survives gateway restarts)\n"
-               "        exits nonzero unless every packet sent was accounted\n"
-               "        for by the server\n"
-               "  journal-dump <dir>    print a checkpoint dir's merged\n"
-               "                        verdict journal, one line per\n"
-               "                        record in per-user seq order\n");
-  return 2;
+// --- command-line grammar ---------------------------------------------------
+
+/// Parses the whole of @p text into @p out. std::from_chars takes no blank
+/// and no '+', and no '-' for an unsigned target, so "2x", "" and a count
+/// of "-1" all fail.
+template <typename T>
+  requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
+bool parse_value(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
-core::DetectorVersion parse_version(const std::string& s) {
-  if (s == "Original") return core::DetectorVersion::kOriginal;
-  if (s == "Simplified") return core::DetectorVersion::kSimplified;
-  if (s == "Reduced") return core::DetectorVersion::kReduced;
-  throw std::runtime_error("unknown version '" + s + "'");
+/// An empty token is a missing value.
+bool parse_value(std::string_view text, std::string& out) {
+  out = text;
+  return !text.empty();
 }
+
+bool parse_value(std::string_view text, std::chrono::milliseconds& out) {
+  std::size_t ms = 0;
+  if (!parse_value(text, ms)) return false;
+  out = std::chrono::milliseconds(ms);
+  return true;
+}
+
+bool parse_value(std::string_view text, core::DetectorVersion& out) {
+  using V = core::DetectorVersion;
+  for (const V v : {V::kOriginal, V::kSimplified, V::kReduced}) {
+    if (text == core::to_string(v)) out = v;
+  }
+  return text == core::to_string(out);
+}
+
+bool parse_value(std::string_view text, fleet::BackpressurePolicy& out) {
+  using P = fleet::BackpressurePolicy;
+  for (const P p : {P::kBlock, P::kDropOldest}) {
+    if (text == fleet::to_string(p)) out = p;
+  }
+  return text == fleet::to_string(out);
+}
+
+/// What a flag sets: a typed target read by parse_value(), or a lambda
+/// over the value that returns false to reject it. A switch (a flag with
+/// no metavar) is set with an empty value; a bool target turns on.
+struct Binding {
+  template <typename T>
+    requires requires(std::string_view text, T& out) { parse_value(text, out); }
+  Binding(T& target)
+      : set([&target](std::string_view v) { return parse_value(v, target); }) {}
+  Binding(bool& on) : set([&on](std::string_view) { return on = true; }) {}
+  template <std::invocable<std::string_view> F>
+  Binding(F parse) : set(std::move(parse)) {}
+
+  std::function<bool(std::string_view value)> set;
+};
+
+constexpr bool kRequired = true;
+
+/// One row of a command's flag table.
+struct Flag {
+  std::string_view name;
+  std::string_view metavar;  ///< names the value; empty for a switch
+  std::string_view help;     ///< '\n' breaks a line in the usage
+  Binding binding;
+  bool required = false;
+};
+
+using FlagTable = std::vector<Flag>;
+
+struct Cli;
+
+struct Command {
+  std::string_view name;  ///< as typed after `siftctl`, e.g. "cohort gen"
+  /// Also sets the operand count: each "<x>" is required, each "[x]"
+  /// optional, and a trailing "..." repeats the last.
+  std::string_view operands;
+  std::string_view about;  ///< '\n' breaks a line in the usage
+  int (*run)(Cli& cli);
+};
+
+/// Thrown once a usage text is printed; main() then exits 2.
+struct UsageExit {};
+
+/// Prints @p text to stderr, continuing each '\n' at column @p indent.
+void print_indented(std::string_view text, int indent) {
+  for (const char c : text) {
+    std::fputc(c, stderr);
+    if (c == '\n') std::fprintf(stderr, "%*s", indent, "");
+  }
+  std::fputc('\n', stderr);
+}
+
+/// A command's arguments. Every command calls parse() before anything
+/// else. When siftctl runs without a command, main() enters each command
+/// in listing mode: parse() prints the command's usage and throws
+/// UsageExit, so none of them runs.
+struct Cli {
+  const Command& command;
+  std::span<const std::string> args;
+  bool listing = false;
+  /// The table parse() last read. Kept for the usage text only: its
+  /// bindings point into the command's locals and are not called again.
+  FlagTable flags = {};
+
+  /// Sets each flag in @p table from the arguments and returns the other
+  /// tokens, the operands, in order. An unknown flag, a missing or
+  /// malformed value, a missing required flag or an operand count the
+  /// synopsis does not allow fail()s.
+  std::vector<std::string> parse(FlagTable table = {}) {
+    flags = std::move(table);
+    if (listing) {
+      print("  ");
+      throw UsageExit{};
+    }
+    std::vector<std::string> operands;
+    std::vector<bool> seen(flags.size());
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::string& token = args[i];
+      const auto flag = std::ranges::find(flags, token, &Flag::name);
+      if (flag == flags.end()) {
+        if (token.size() > 1 && token[0] == '-') fail("unknown flag " + token);
+        operands.push_back(token);
+        continue;
+      }
+      seen[static_cast<std::size_t>(flag - flags.begin())] = true;
+      const bool takes_value = !flag->metavar.empty();
+      if (takes_value && ++i == args.size()) fail(token + " needs a value");
+      if (!flag->binding.set(takes_value ? args[i] : "")) {
+        fail("bad value '" + args[i] + "' for " + token);
+      }
+    }
+    for (std::size_t f = 0; f < flags.size(); ++f) {
+      if (flags[f].required && !seen[f]) {
+        fail("missing " + std::string(flags[f].name));
+      }
+    }
+    const std::string_view synopsis = command.operands;
+    const auto required = std::ranges::count(synopsis, '<');
+    const auto allowed =
+        std::ranges::count(synopsis, ' ') + (synopsis.empty() ? 0 : 1);
+    if (std::ssize(operands) < required ||
+        (std::ssize(operands) > allowed && !synopsis.ends_with("..."))) {
+      fail("expected operands " + std::string(synopsis));
+    }
+    return operands;
+  }
+
+  /// Reads operand @p text as a number, or fail()s.
+  template <typename T>
+  T number(const std::string& text) const {
+    T value{};
+    if (!parse_value(text, value)) fail("bad number '" + text + "'");
+    return value;
+  }
+
+  /// Prints @p why and this command's usage, then throws UsageExit.
+  [[noreturn]] void fail(const std::string& why) const {
+    std::fprintf(stderr, "siftctl %s: %s\n", std::string(command.name).c_str(),
+                 why.c_str());
+    print("usage: siftctl ");
+    throw UsageExit{};
+  }
+
+  /// Prints the synopsis, the description, then each flag with its help
+  /// on the lines below it.
+  void print(const std::string& lead) const {
+    std::string line = lead + std::string(command.name);
+    if (!command.operands.empty()) (line += ' ') += command.operands;
+    print_indented(line, 8);
+    if (!command.about.empty()) {
+      print_indented(std::string(8, ' ').append(command.about), 8);
+    }
+    for (const Flag& f : flags) {
+      line = std::string(8, ' ').append(f.name);
+      if (!f.metavar.empty()) (line += ' ') += f.metavar;
+      print_indented(f.required ? line + " (required)" : line, 8);
+      if (!f.help.empty()) {
+        print_indented(std::string(12, ' ').append(f.help), 12);
+      }
+    }
+  }
+};
+
+// --- commands --------------------------------------------------------------
 
 std::string archive_name(int user_id) {
   char buf[32];
@@ -184,40 +251,30 @@ std::vector<int> list_archive_ids(const std::string& dir) {
   std::vector<int> ids;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
+    int id = 0;
     if (name.size() < 5 || name.front() != 'u' ||
-        name.substr(name.size() - 4) != ".arc") {
+        name.substr(name.size() - 4) != ".arc" ||
+        !parse_value(std::string_view(name).substr(1, name.size() - 5), id)) {
       continue;
     }
-    ids.push_back(std::stoi(name.substr(1, name.size() - 5)));
+    ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
-int cmd_cohort_gen(std::span<const std::string> args) {
+int cmd_cohort_gen(Cli& cli) {
   std::string out_dir;
   std::size_t users = 256;
   double seconds = 24.0;
   std::uint64_t seed = 2017;
   double dup_frac = 0.0;
-  for (std::size_t i = 0; i + 1 < args.size(); i += 2) {
-    const std::string& flag = args[i];
-    const std::string& value = args[i + 1];
-    if (flag == "--out") {
-      out_dir = value;
-    } else if (flag == "--users") {
-      users = std::stoul(value);
-    } else if (flag == "--seconds") {
-      seconds = std::stod(value);
-    } else if (flag == "--seed") {
-      seed = std::stoull(value);
-    } else if (flag == "--dup-frac") {
-      dup_frac = std::stod(value);
-    } else {
-      return usage();
-    }
-  }
-  if (out_dir.empty() || users == 0) return usage();
+  cli.parse({{"--out", "DIR", "", out_dir, kRequired},
+             {"--users", "N", "", users},
+             {"--seconds", "S", "", seconds},
+             {"--seed", "S", "", seed},
+             {"--dup-frac", "F", "", dup_frac}});
+  if (users == 0) cli.fail("--users must be positive");
   std::filesystem::create_directories(out_dir);
 
   const core::SiftConfig sift_config;
@@ -258,39 +315,46 @@ int cmd_cohort_gen(std::span<const std::string> args) {
   return 0;
 }
 
-/// Shared flag parsing + pipeline setup for `cohort extract` / `cohort
-/// train`: archives come from a directory written by `cohort gen` (or a
-/// real provisioning pipeline), behind a small LRU that absorbs the donor
-/// pattern's re-reads.
-struct CohortRunArgs {
+/// `cohort extract` / `cohort train` set-up: the flags both take (train
+/// adds --store), the archive ids, and a trainer reading a directory
+/// written by `cohort gen` (or a real provisioning pipeline) behind a small
+/// LRU that absorbs the donor pattern's re-reads.
+struct CohortRun {
   std::string archives_dir;
   std::string store_dir;  // train only
   cohort::CohortConfig config;
-};
+  std::vector<int> ids;
+  std::optional<cohort::CachingArchiveSource> archives;
+  std::optional<cohort::CohortTrainer> trainer;
 
-std::optional<CohortRunArgs> parse_cohort_run(
-    std::span<const std::string> args, bool wants_store) {
-  CohortRunArgs out;
-  for (std::size_t i = 0; i + 1 < args.size(); i += 2) {
-    const std::string& flag = args[i];
-    const std::string& value = args[i + 1];
-    if (flag == "--archives") {
-      out.archives_dir = value;
-    } else if (flag == "--store" && wants_store) {
-      out.store_dir = value;
-    } else if (flag == "--workers") {
-      out.config.workers = std::max<std::size_t>(1, std::stoul(value));
-    } else if (flag == "--donors") {
-      out.config.donors_per_user = std::stoul(value);
-    } else {
-      return std::nullopt;
+  /// Returns the exit code to stop with, or 0 once the trainer is ready.
+  int open(Cli& cli, bool wants_store) {
+    FlagTable flags = {
+        {"--archives", "DIR", "", archives_dir, kRequired},
+        {"--workers", "N", "", config.workers},
+        {"--donors", "K", "", config.donors_per_user}};
+    if (wants_store) {
+      flags.insert(flags.begin() + 1,
+                   {"--store", "DIR", "", store_dir, kRequired});
     }
+    cli.parse(std::move(flags));
+    config.workers = std::max<std::size_t>(1, config.workers);
+    ids = list_archive_ids(archives_dir);
+    if (ids.empty()) {
+      std::fprintf(stderr, "%s: no uNNNNNN.arc files in %s\n",
+                   std::string(cli.command.name).c_str(), archives_dir.c_str());
+      return 1;
+    }
+    archives.emplace(
+        [dir = archives_dir](int user_id) {
+          return io::read_file_bytes(dir + "/" + archive_name(user_id));
+        },
+        std::max<std::size_t>(16,
+                              config.workers * (config.donors_per_user + 2)));
+    trainer.emplace(archives->as_source(), config);
+    return 0;
   }
-  if (out.archives_dir.empty() || (wants_store && out.store_dir.empty())) {
-    return std::nullopt;
-  }
-  return out;
-}
+};
 
 void print_cohort_stats(const cohort::CohortStats& stats, double elapsed_s) {
   std::printf(
@@ -305,52 +369,26 @@ void print_cohort_stats(const cohort::CohortStats& stats, double elapsed_s) {
           : 0.0);
 }
 
-int cmd_cohort_extract(std::span<const std::string> args) {
-  const auto run = parse_cohort_run(args, /*wants_store=*/false);
-  if (!run) return usage();
-  const auto ids = list_archive_ids(run->archives_dir);
-  if (ids.empty()) {
-    std::fprintf(stderr, "cohort extract: no uNNNNNN.arc files in %s\n",
-                 run->archives_dir.c_str());
-    return 1;
-  }
-  cohort::CachingArchiveSource archives(
-      [dir = run->archives_dir](int user_id) {
-        return io::read_file_bytes(dir + "/" + archive_name(user_id));
-      },
-      std::max<std::size_t>(
-          16, run->config.workers * (run->config.donors_per_user + 2)));
-  cohort::CohortTrainer trainer(archives.as_source(), run->config);
+int cmd_cohort_extract(Cli& cli) {
+  CohortRun run;
+  if (const int rc = run.open(cli, /*wants_store=*/false)) return rc;
   const auto start = std::chrono::steady_clock::now();
-  const auto stats = trainer.extract_only(ids);
+  const auto stats = run.trainer->extract_only(run.ids);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   std::printf("cohort extract: %zu users over %zu worker(s) in %.2f s\n",
-              ids.size(), run->config.workers, secs);
+              run.ids.size(), run.config.workers, secs);
   print_cohort_stats(stats, secs);
   return 0;
 }
 
-int cmd_cohort_train(std::span<const std::string> args) {
-  const auto run = parse_cohort_run(args, /*wants_store=*/true);
-  if (!run) return usage();
-  const auto ids = list_archive_ids(run->archives_dir);
-  if (ids.empty()) {
-    std::fprintf(stderr, "cohort train: no uNNNNNN.arc files in %s\n",
-                 run->archives_dir.c_str());
-    return 1;
-  }
-  cohort::CachingArchiveSource archives(
-      [dir = run->archives_dir](int user_id) {
-        return io::read_file_bytes(dir + "/" + archive_name(user_id));
-      },
-      std::max<std::size_t>(
-          16, run->config.workers * (run->config.donors_per_user + 2)));
-  cohort::CohortTrainer trainer(archives.as_source(), run->config);
-  const cohort::ModelStore store(run->store_dir);
+int cmd_cohort_train(Cli& cli) {
+  CohortRun run;
+  if (const int rc = run.open(cli, /*wants_store=*/true)) return rc;
+  const cohort::ModelStore store(run.store_dir);
   const auto start = std::chrono::steady_clock::now();
-  const auto stats = trainer.train(ids, store);
+  const auto stats = run.trainer->train(run.ids, store);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -359,21 +397,18 @@ int cmd_cohort_train(std::span<const std::string> args) {
       "%.1f users/s over %zu worker(s))\n",
       static_cast<unsigned long long>(stats.users_trained),
       static_cast<unsigned long long>(stats.models_written),
-      run->store_dir.c_str(), store.shards(),
+      run.store_dir.c_str(), store.shards(),
       secs > 0.0 ? static_cast<double>(stats.users_trained) / secs : 0.0,
-      run->config.workers);
+      run.config.workers);
   print_cohort_stats(stats, secs);
   return 0;
 }
 
-int cmd_cohort(std::span<const std::string> args) {
-  if (!args.empty()) {
-    if (args[0] == "gen") return cmd_cohort_gen(args.subspan(1));
-    if (args[0] == "extract") return cmd_cohort_extract(args.subspan(1));
-    if (args[0] == "train") return cmd_cohort_train(args.subspan(1));
-  }
-  const std::size_t n = args.size() > 0 ? std::stoul(args[0]) : 12;
-  const std::uint64_t seed = args.size() > 1 ? std::stoull(args[1]) : 2017;
+int cmd_cohort(Cli& cli) {
+  const auto args = cli.parse();
+  const auto n = args.size() > 0 ? cli.number<std::size_t>(args[0]) : 12;
+  const auto seed =
+      args.size() > 1 ? cli.number<std::uint64_t>(args[1]) : 2017;
   std::printf("%-4s %-12s %6s %8s %8s %8s\n", "id", "name", "age", "HR",
               "SBP", "DBP");
   for (const auto& u : physio::synthetic_cohort(n, seed)) {
@@ -385,13 +420,14 @@ int cmd_cohort(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_synth(std::span<const std::string> args) {
-  if (args.size() < 3) return usage();
-  const auto user_index = std::stoul(args[0]);
-  const double seconds = std::stod(args[1]);
-  const std::string out = args[2];
-  const std::uint64_t seed = args.size() > 3 ? std::stoull(args[3]) : 2017;
-  const std::uint64_t salt = args.size() > 4 ? std::stoull(args[4]) : 0;
+int cmd_synth(Cli& cli) {
+  const auto args = cli.parse();
+  const auto user_index = cli.number<std::size_t>(args[0]);
+  const auto seconds = cli.number<double>(args[1]);
+  const std::string& out = args[2];
+  const auto seed =
+      args.size() > 3 ? cli.number<std::uint64_t>(args[3]) : 2017;
+  const auto salt = args.size() > 4 ? cli.number<std::uint64_t>(args[4]) : 0;
 
   const auto cohort = physio::synthetic_cohort(
       std::max<std::size_t>(12, user_index + 1), seed);
@@ -405,8 +441,8 @@ int cmd_synth(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_peaks(std::span<const std::string> args) {
-  if (args.size() != 1) return usage();
+int cmd_peaks(Cli& cli) {
+  const auto args = cli.parse();
   const auto record = io::load_record_csv(args[0]);
   const auto r = peaks::detect_r_peaks(record.ecg);
   const auto s = peaks::detect_systolic_peaks(record.abp);
@@ -417,20 +453,12 @@ int cmd_peaks(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_train(std::span<const std::string> args) {
-  std::vector<std::string> csvs;
+int cmd_train(Cli& cli) {
   std::string out;
   core::SiftConfig config;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "-o" && i + 1 < args.size()) {
-      out = args[++i];
-    } else if (args[i] == "-v" && i + 1 < args.size()) {
-      config.version = parse_version(args[++i]);
-    } else {
-      csvs.push_back(args[i]);
-    }
-  }
-  if (out.empty() || csvs.size() < 2) return usage();
+  const auto csvs =
+      cli.parse({{"-o", "<model.txt>", "", out, kRequired},
+                 {"-v", "Original|Simplified|Reduced", "", config.version}});
 
   const auto wearer = io::load_record_csv(csvs[0]);
   std::vector<physio::Record> donors;
@@ -445,8 +473,8 @@ int cmd_train(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_detect(std::span<const std::string> args) {
-  if (args.size() != 2) return usage();
+int cmd_detect(Cli& cli) {
+  const auto args = cli.parse();
   const auto model = io::load_user_model(args[0]);
   const auto trace = io::load_record_csv(args[1]);
   const core::Detector detector(model);
@@ -464,11 +492,12 @@ int cmd_detect(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_attack(std::span<const std::string> args) {
-  if (args.size() < 3) return usage();
+int cmd_attack(Cli& cli) {
+  const auto args = cli.parse();
+  const double fraction =
+      args.size() > 3 ? cli.number<double>(args[3]) : 0.5;
   const auto victim = io::load_record_csv(args[0]);
   const auto donor = io::load_record_csv(args[1]);
-  const double fraction = args.size() > 3 ? std::stod(args[3]) : 0.5;
 
   attack::SubstitutionAttack substitution;
   const std::vector<physio::Record> donors{donor};
@@ -484,40 +513,29 @@ int cmd_attack(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_attack_matrix(std::span<const std::string> args) {
+int cmd_attack_matrix(Cli& cli) {
   core::AttackMatrixConfig config;
+  core::ExperimentConfig& experiment = config.experiment;
   std::string json_path;
   std::string md_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--smoke") {
-      // The CI corpus: small enough to finish in single-digit minutes, big
-      // enough that every attack family still has both classes per user.
-      config.experiment.n_users = 4;
-      config.experiment.train_duration_s = 240.0;
-      config.experiment.test_duration_s = 120.0;
-      continue;
-    }
-    if (i + 1 >= args.size()) return usage();
-    const std::string& value = args[++i];
-    if (flag == "--users") {
-      config.experiment.n_users = std::stoul(value);
-    } else if (flag == "--seed") {
-      config.experiment.cohort_seed = std::stoull(value);
-    } else if (flag == "--train-s") {
-      config.experiment.train_duration_s = std::stod(value);
-    } else if (flag == "--test-s") {
-      config.experiment.test_duration_s = std::stod(value);
-    } else if (flag == "--fpr-budget") {
-      config.fpr_budget = std::stod(value);
-    } else if (flag == "--json") {
-      json_path = value;
-    } else if (flag == "--md") {
-      md_path = value;
-    } else {
-      return usage();
-    }
-  }
+  cli.parse({{"--users", "N", "", experiment.n_users},
+             {"--seed", "S", "", experiment.cohort_seed},
+             {"--train-s", "S", "", experiment.train_duration_s},
+             {"--test-s", "S", "", experiment.test_duration_s},
+             {"--fpr-budget", "F", "", config.fpr_budget},
+             {"--json", "PATH", "", json_path},
+             {"--md", "PATH", "", md_path},
+             // The CI corpus: small enough to finish in single-digit
+             // minutes, big enough that every attack family still has
+             // both classes per user.
+             {"--smoke", "",
+              "the reduced CI corpus (4 users, 4 min training)",
+              [&](std::string_view) {
+                experiment.n_users = 4;
+                experiment.train_duration_s = 240.0;
+                experiment.test_duration_s = 120.0;
+                return true;
+              }}});
 
   const auto result = core::run_attack_matrix(config);
   const std::string markdown = core::attack_matrix_markdown(result);
@@ -537,22 +555,24 @@ int cmd_attack_matrix(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_emit_c(std::span<const std::string> args) {
-  if (args.size() != 1) return usage();
+int cmd_emit_c(Cli& cli) {
+  const auto args = cli.parse();
   std::cout << amulet::emit_amulet_app_c(io::load_user_model(args[0]));
   return 0;
 }
 
-int cmd_emit_qm(std::span<const std::string> args) {
-  if (args.size() != 1) return usage();
+int cmd_emit_qm(Cli& cli) {
+  const auto args = cli.parse();
   const auto model = io::load_user_model(args[0]);
   std::cout << amulet::emit_qm_model_xml("SiftDetector",
                                          model.config.version);
   return 0;
 }
 
-int cmd_check(std::span<const std::string> args) {
-  if (args.empty()) return usage();
+int cmd_check(Cli& cli) {
+  bool no_libm = false;
+  const auto args = cli.parse(
+      {{"--no-libm", "", "reject any use of the C math library", no_libm}});
   // The check gates code destined for scalar-only MCUs, so surface what the
   // *host* pipeline dispatches to — the two must not be conflated.
   std::printf("host simd: %s (available:", simd::to_string(simd::active_level()));
@@ -565,9 +585,7 @@ int cmd_check(std::span<const std::string> args) {
   std::stringstream ss;
   ss << is.rdbuf();
   amulet::AmuletCCheckOptions options;
-  if (args.size() > 1 && args[1] == "--no-libm") {
-    options.allow_math_library = false;
-  }
+  options.allow_math_library = !no_libm;
   const auto violations = amulet::check_amulet_c(ss.str(), options);
   for (const auto& v : violations) {
     std::printf("%s:%zu: [%s] %s\n", args[0].c_str(), v.line,
@@ -577,8 +595,8 @@ int cmd_check(std::span<const std::string> args) {
   return violations.empty() ? 0 : 1;
 }
 
-int cmd_profile(std::span<const std::string> args) {
-  if (args.size() != 2) return usage();
+int cmd_profile(Cli& cli) {
+  const auto args = cli.parse();
   const auto model = io::load_user_model(args[0]);
   const auto trace = io::load_record_csv(args[1]);
   amulet::Scheduler scheduler;
@@ -616,60 +634,44 @@ struct EngineHost {
   fleet::durable::RecoveryResult recovered;
   std::jthread checkpointer;
 
-  /// Parses the command line: shared flags land here (and --models in
-  /// @p replay), every other flag goes to @p own, which returns false for
-  /// a flag it does not know. False means a malformed command line.
-  bool parse(std::span<const std::string> args, fleet::ReplayConfig& replay,
-             const std::function<bool(const std::string& flag,
-                                      const std::string& value)>& own) {
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      const std::string& flag = args[i];
-      if (flag == "--recover") {
-        recover = true;
-        continue;
-      }
-      if (flag == "--pin-cores") {
-        config.pin_cores = true;
-        continue;
-      }
-      if (i + 1 >= args.size()) return false;
-      const std::string& value = args[++i];
-      if (flag == "--workers") {
-        config.workers = std::stoul(value);
-      } else if (flag == "--shards") {
-        config.shards = std::stoul(value);
-      } else if (flag == "--queue-capacity") {
-        config.queue_capacity = std::stoul(value);
-      } else if (flag == "--max-batch") {
-        config.max_batch = std::stoul(value);
-      } else if (flag == "--models") {
-        replay.distinct_users = std::stoul(value);
-      } else if (flag == "--checkpoint-dir") {
-        checkpoint_dir = value;
-      } else if (flag == "--checkpoint-interval") {
-        checkpoint_interval_ms = std::stoul(value);
-      } else if (flag == "--model-store") {
-        model_store_dir = value;
-      } else if (flag == "--policy") {
-        if (value == "block") {
-          config.backpressure = fleet::BackpressurePolicy::kBlock;
-        } else if (value == "drop-oldest") {
-          config.backpressure = fleet::BackpressurePolicy::kDropOldest;
-        } else {
-          return false;
-        }
-      } else if (!own(flag, value)) {
-        return false;
-      }
-    }
-    config.model_cache_capacity =
-        std::max<std::size_t>(1, replay.distinct_users);
-    return true;
+  /// @p own, the command's flags, then the flags fleet and serve share
+  /// (--models lands in @p replay).
+  FlagTable flags(FlagTable own, fleet::ReplayConfig& replay) {
+    own.insert(own.end(), {
+        {"--workers", "N",
+         "0 (the default) runs one worker per core; explicit counts\n"
+         "are clamped to the cores actually present",
+         config.workers},
+        {"--pin-cores", "", "pin worker w to CPU core w", config.pin_cores},
+        {"--shards", "N", "", config.shards},
+        {"--queue-capacity", "N", "", config.queue_capacity},
+        {"--max-batch", "N", "", config.max_batch},
+        {"--policy", "block|drop-oldest", "", config.backpressure},
+        {"--models", "K", "", replay.distinct_users},
+        {"--checkpoint-dir", "DIR",
+         "journal every verdict and checkpoint session state into DIR",
+         checkpoint_dir},
+        {"--checkpoint-interval", "MS", "cadence (default 500)",
+         checkpoint_interval_ms},
+        {"--recover", "",
+         "restore DIR's newest checkpoint and resume the replay past\n"
+         "its cursors",
+         recover},
+        {"--model-store", "DIR",
+         "skip in-process training and serve models from a `cohort\n"
+         "train` store (manifest warm-load; sessions map onto the\n"
+         "manifest round-robin)",
+         model_store_dir},
+    });
+    return own;
   }
 
-  /// Opens the model store (--model-store) and the durability directory
+  /// Sizes the model cache for @p replay's models, then opens the model
+  /// store (--model-store) and the durability directory
   /// (--checkpoint-dir). Returns the exit code to stop with, or 0.
-  int open() {
+  int open(const fleet::ReplayConfig& replay) {
+    config.model_cache_capacity =
+        std::max<std::size_t>(1, replay.distinct_users);
     // Detection models from a cohort-trained store: sessions map onto the
     // manifest round-robin, and the registry loads them off disk.
     if (!model_store_dir.empty()) {
@@ -694,7 +696,7 @@ struct EngineHost {
       config.durability = &*durability;
     } else if (recover) {
       std::fprintf(stderr, "%s: --recover needs --checkpoint-dir\n", cmd);
-      return usage();
+      return 2;
     }
     return 0;
   }
@@ -754,7 +756,7 @@ struct EngineHost {
   }
 };
 
-int cmd_fleet(std::span<const std::string> args) {
+int cmd_fleet(Cli& cli) {
   fleet::ReplayConfig replay;
   std::size_t producers = 4;
   bool chaos = false;
@@ -763,25 +765,19 @@ int cmd_fleet(std::span<const std::string> args) {
   std::optional<fleet::ReplayFixture> fixture;
   std::unique_ptr<fleet::FaultInjector> injector;
   EngineHost host("fleet");
-  const bool parsed = host.parse(args, replay, [&](const std::string& flag,
-                                                   const std::string& value) {
-    if (flag == "--sessions") {
-      replay.sessions = std::stoul(value);
-    } else if (flag == "--seconds") {
-      replay.seconds = std::stod(value);
-    } else if (flag == "--producers") {
-      producers = std::stoul(value);
-    } else if (flag == "--chaos") {
-      chaos = true;
-      chaos_seed = std::stoull(value);
-    } else {
-      return false;
-    }
-    return true;
-  });
-  if (!parsed) return usage();
+  cli.parse(host.flags(
+      {{"--sessions", "N", "", replay.sessions},
+       {"--seconds", "S", "", replay.seconds},
+       {"--producers", "N", "", producers},
+       {"--chaos", "SEED",
+        "inject a deterministic fault schedule (corruption, provider\n"
+        "failures, worker throws, overload bursts)",
+        [&](std::string_view v) {
+          return chaos = parse_value(v, chaos_seed);
+        }}},
+      replay));
   replay.train_all_tiers = chaos;  // chaos exercises the degradation ladder
-  if (const int rc = host.open(); rc != 0) return rc;
+  if (const int rc = host.open(replay); rc != 0) return rc;
   fleet::FleetConfig& config = host.config;
   // With a model store the fixture is only the packet synthesiser, so its
   // own (unused) model training is cut to the minimum the build path
@@ -905,8 +901,7 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 
 void handle_stop_signal(int) { g_stop_requested = 1; }
 
-int cmd_serve(std::span<const std::string> args) {
-  std::string listen;
+int cmd_serve(Cli& cli) {
   fleet::ReplayConfig replay;
   net::NetServerConfig net_config;
   // The pool and the fixture outlive the engine the host owns
@@ -916,32 +911,27 @@ int cmd_serve(std::span<const std::string> args) {
   net::PacketPool pool;
   std::optional<fleet::ReplayFixture> fixture;
   EngineHost host("serve");
-  const bool parsed = host.parse(args, replay, [&](const std::string& flag,
-                                                   const std::string& value) {
-    if (flag == "--listen") {
-      listen = value;
-    } else if (flag == "--train-seconds") {
-      replay.train_seconds = std::stod(value);
-    } else if (flag == "--seed") {
-      replay.seed = std::stoull(value);
-    } else if (flag == "--max-connections") {
-      net_config.max_connections = std::stoul(value);
-    } else if (flag == "--idle-timeout-ms") {
-      net_config.idle_timeout = std::chrono::milliseconds(std::stoul(value));
-    } else if (flag == "--stall-timeout-ms") {
-      net_config.stall_timeout = std::chrono::milliseconds(std::stoul(value));
-    } else if (flag == "--rate-limit") {
-      net_config.rate_limit_pps = std::stod(value);
-    } else if (flag == "--accept-burst") {
-      net_config.accept_burst = std::stoul(value);
-    } else {
-      return false;
-    }
-    return true;
-  });
-  if (!parsed || listen.empty()) return usage();
-  net_config.listen = listen;
-  if (const int rc = host.open(); rc != 0) return rc;
+  cli.parse(host.flags(
+      {{"--listen", "ADDR",
+        "network ingest gateway address: unix:PATH or tcp:HOST:PORT\n"
+        "(port 0 picks an ephemeral port)",
+        net_config.listen, kRequired},
+       {"--train-seconds", "S", "", replay.train_seconds},
+       {"--seed", "N", "", replay.seed},
+       {"--max-connections", "N", "", net_config.max_connections},
+       {"--idle-timeout-ms", "MS", "", net_config.idle_timeout},
+       {"--stall-timeout-ms", "MS",
+        "reap write-stalled / backpressure-parked peers (0 = 4 x idle\n"
+        "timeout)",
+        net_config.stall_timeout},
+       {"--rate-limit", "PPS",
+        "per-connection leaky bucket; over-rate packets are shed and\n"
+        "charge anti-replay suspicion",
+        net_config.rate_limit_pps},
+       {"--accept-burst", "N", "accepts per listener wakeup",
+        net_config.accept_burst}},
+      replay));
+  if (const int rc = host.open(replay); rc != 0) return rc;
 
   // With a model store the gateway trains nothing: models come off disk
   // through the registry (manifest warm-load), which is what lets a
@@ -1017,44 +1007,29 @@ int cmd_serve(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_drive(std::span<const std::string> args) {
+int cmd_drive(Cli& cli) {
   net::DriveConfig config;
   net::NetFaultConfig fault_config;
   bool chaos_net = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--resume") {
-      config.resume = true;
-      continue;
-    }
-    if (i + 1 >= args.size()) return usage();
-    const std::string& value = args[++i];
-    if (flag == "--connect") {
-      config.address = value;
-    } else if (flag == "--connections") {
-      config.connections = std::stoul(value);
-    } else if (flag == "--users") {
-      config.users = std::stoul(value);
-    } else if (flag == "--seconds") {
-      config.seconds = std::stod(value);
-    } else if (flag == "--rate") {
-      config.rate_hz = std::stod(value);
-    } else if (flag == "--models") {
-      config.distinct_users = std::stoul(value);
-    } else if (flag == "--seed") {
-      config.seed = std::stoull(value);
-    } else if (flag == "--samples-per-packet") {
-      config.samples_per_packet = std::stoul(value);
-    } else if (flag == "--settle-timeout-ms") {
-      config.settle_timeout = std::chrono::milliseconds(std::stoul(value));
-    } else if (flag == "--chaos-net") {
-      chaos_net = true;
-      fault_config.seed = std::stoull(value);
-    } else {
-      return usage();
-    }
-  }
-  if (config.address.empty()) return usage();
+  cli.parse({{"--connect", "ADDR", "", config.address, kRequired},
+             {"--connections", "N", "", config.connections},
+             {"--users", "N", "", config.users},
+             {"--seconds", "S", "", config.seconds},
+             {"--rate", "HZ", "", config.rate_hz},
+             {"--models", "K", "", config.distinct_users},
+             {"--seed", "N", "", config.seed},
+             {"--samples-per-packet", "N", "", config.samples_per_packet},
+             {"--settle-timeout-ms", "MS", "", config.settle_timeout},
+             {"--chaos-net", "SEED",
+              "run every connection through a deterministic wire-fault shim\n"
+              "(partial writes, stalls, resets, mid-frame kills) with\n"
+              "reconnect-with-resume senders",
+              [&](std::string_view v) {
+                return chaos_net = parse_value(v, fault_config.seed);
+              }},
+             {"--resume", "",
+              "resuming senders on a clean wire (survives gateway restarts)",
+              config.resume}});
 
   // The same moderate schedule the chaos tests use: rough enough that every
   // connection reconnects at least once on a real stream, gentle enough
@@ -1110,8 +1085,8 @@ int cmd_drive(std::span<const std::string> args) {
   return 0;
 }
 
-int cmd_journal_dump(std::span<const std::string> args) {
-  if (args.size() != 1) return usage();
+int cmd_journal_dump(Cli& cli) {
+  const auto args = cli.parse();
   // Merge every per-core segment and print per-user seq order — the same
   // canonicalisation the chaos tests diff, so two dumps being byte-equal
   // means the journals are equivalent no matter how many cores wrote them.
@@ -1134,31 +1109,89 @@ int cmd_journal_dump(std::span<const std::string> args) {
   return 0;
 }
 
+/// Every command, in the order the usage lists them.
+constexpr Command kCommands[] = {
+    {"cohort", "[n] [seed]", "list the synthetic cohort", cmd_cohort},
+    {"cohort gen", "", "write per-user compressed archives uNNNNNN.arc",
+     cmd_cohort_gen},
+    {"cohort extract", "", "stream + window walk + dedup, print counters",
+     cmd_cohort_extract},
+    {"cohort train", "",
+     "train all three tiers per user into a sharded model store\n"
+     "+ warm-load manifest",
+     cmd_cohort_train},
+    {"synth", "<user-index> <seconds> <out.csv> [seed] [salt]",
+     "generate a coupled ECG+ABP trace", cmd_synth},
+    {"peaks", "<trace.csv>", "run-time peak detection", cmd_peaks},
+    {"train", "<wearer.csv> <donor.csv>...", "train a user's model",
+     cmd_train},
+    {"detect", "<model.txt> <trace.csv>", "classify every window",
+     cmd_detect},
+    {"attack", "<victim.csv> <donor.csv> <out.csv> [fraction]",
+     "substitute the donor's ECG into a fraction of the victim's windows",
+     cmd_attack},
+    {"attack-matrix", "",
+     "runs every attack family against every detector tier;\n"
+     "markdown to stdout, JSON snapshot to --json.",
+     cmd_attack_matrix},
+    {"emit-c", "<model.txt>", "Amulet-C translation unit", cmd_emit_c},
+    {"emit-qm", "<model.txt>", "QM model XML", cmd_emit_qm},
+    {"check", "<source.c>", "Amulet-C static checker", cmd_check},
+    {"profile", "<model.txt> <trace.csv>", "ARP-view resource profile",
+     cmd_profile},
+    {"fleet", "",
+     "replay a cohort through the fleet engine, print a metrics report",
+     cmd_fleet},
+    {"serve", "",
+     "run the network ingest gateway; SIGTERM/SIGINT drain\n"
+     "gracefully and print a final metrics snapshot on stdout",
+     cmd_serve},
+    {"drive", "",
+     "closed-loop load driver against a running gateway; exits\n"
+     "nonzero unless every packet sent was accounted for by the\n"
+     "server",
+     cmd_drive},
+    {"journal-dump", "<dir>",
+     "print a checkpoint dir's merged verdict journal, one line\n"
+     "per record in per-user seq order",
+     cmd_journal_dump},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  const auto find = [](std::string_view name) {
+    const auto it = std::ranges::find(kCommands, name, &Command::name);
+    return it == std::end(kCommands) ? nullptr : &*it;
+  };
+  // A two-word subcommand ("cohort gen") wins over its parent ("cohort").
+  std::size_t words = 2;
+  const Command* command =
+      args.size() >= 2 ? find(args[0] + " " + args[1]) : nullptr;
+  if (command == nullptr && !args.empty()) {
+    words = 1;
+    command = find(args[0]);
+  }
+  if (command == nullptr) {
+    std::fprintf(stderr, "usage: siftctl <command> [args]\n");
+    for (const Command& c : kCommands) {
+      Cli listing{c, {}, /*listing=*/true};
+      try {
+        c.run(listing);
+      } catch (const UsageExit&) {
+      }
+    }
+    return 2;
+  }
+  Cli cli{*command, std::span(args).subspan(words)};
   try {
-    if (command == "cohort") return cmd_cohort(args);
-    if (command == "synth") return cmd_synth(args);
-    if (command == "peaks") return cmd_peaks(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "detect") return cmd_detect(args);
-    if (command == "attack") return cmd_attack(args);
-    if (command == "attack-matrix") return cmd_attack_matrix(args);
-    if (command == "emit-c") return cmd_emit_c(args);
-    if (command == "emit-qm") return cmd_emit_qm(args);
-    if (command == "check") return cmd_check(args);
-    if (command == "profile") return cmd_profile(args);
-    if (command == "fleet") return cmd_fleet(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "drive") return cmd_drive(args);
-    if (command == "journal-dump") return cmd_journal_dump(args);
+    return command->run(cli);
+  } catch (const UsageExit&) {
+    return 2;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "siftctl %s: %s\n", command.c_str(), e.what());
+    std::fprintf(stderr, "siftctl %s: %s\n",
+                 std::string(command->name).c_str(), e.what());
     return 1;
   }
-  return usage();
 }
