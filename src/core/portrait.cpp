@@ -28,30 +28,33 @@ struct Normalizer {
   }
 };
 
+/// Why @p in cannot make a portrait, or nullptr when it can.
+const char* invalid_input(const PortraitInput& in) {
+  if (in.ecg.empty() || in.ecg.size() != in.abp.size()) {
+    return "Portrait: ECG/ABP windows must match";
+  }
+  if (!(in.sample_rate_hz > 0.0)) {
+    return "Portrait: sample rate must be positive";
+  }
+  for (std::size_t p : in.r_peaks) {
+    if (p >= in.ecg.size()) return "Portrait: R-peak index out of range";
+  }
+  for (std::size_t p : in.sys_peaks) {
+    if (p >= in.abp.size()) return "Portrait: systolic index out of range";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 void Portrait::rebuild(const PortraitInput& in) {
-  points_.clear();
   r_pts_.clear();
   sys_pts_.clear();
   pairs_.clear();
   rate_ = in.sample_rate_hz;
-
-  if (in.ecg.empty() || in.ecg.size() != in.abp.size()) {
-    throw std::invalid_argument("Portrait: ECG/ABP windows must match");
-  }
-  if (!(rate_ > 0.0)) {
-    throw std::invalid_argument("Portrait: sample rate must be positive");
-  }
-  for (std::size_t p : in.r_peaks) {
-    if (p >= in.ecg.size()) {
-      throw std::invalid_argument("Portrait: R-peak index out of range");
-    }
-  }
-  for (std::size_t p : in.sys_peaks) {
-    if (p >= in.abp.size()) {
-      throw std::invalid_argument("Portrait: systolic index out of range");
-    }
+  if (const char* why = invalid_input(in)) {
+    points_.clear();
+    throw std::invalid_argument(why);
   }
 
   // Fused normalise + point write: one pass over each channel for min/max,
@@ -59,6 +62,8 @@ void Portrait::rebuild(const PortraitInput& in) {
   const Normalizer norm_e(in.ecg);
   const Normalizer norm_a(in.abp);
 
+  // Both write paths below overwrite every point, so the buffer keeps its
+  // size across same-length windows instead of value-initialising it anew.
   const std::size_t n = in.ecg.size();
   points_.resize(n);
   Point* const pts = points_.data();

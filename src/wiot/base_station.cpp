@@ -1,6 +1,8 @@
 #include "wiot/base_station.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "io/state.hpp"
@@ -24,17 +26,18 @@ BaseStation::Config BaseStation::validated(Config config) {
 BaseStation::BaseStation(core::Detector detector, Config config)
     : detector_(std::move(detector)),
       config_(validated(config)),
-      ecg_(config_.max_buffered_windows * config_.window_samples),
-      abp_(config_.max_buffered_windows * config_.window_samples) {}
+      ecg_(buffer_bound()),
+      abp_(buffer_bound()) {}
 
 BaseStation::BaseStation(Config config)
     : config_(validated(config)),
-      ecg_(config_.max_buffered_windows * config_.window_samples),
-      abp_(config_.max_buffered_windows * config_.window_samples) {}
+      ecg_(buffer_bound()),
+      abp_(buffer_bound()) {}
 
 bool BaseStation::append(Stream& s, const Packet& p, bool as_gap_fill) {
   const std::size_t n = config_.samples_per_packet;
-  if (s.samples.free_space() < n) {
+  const std::size_t base = s.samples.size();
+  if (base + n > buffer_bound()) {
     // The buffer bound protects station memory when the peer channel stalls
     // and no windows can complete. Shedding here behaves exactly like
     // network loss: next_seq is left untouched by the caller, so once space
@@ -43,23 +46,37 @@ bool BaseStation::append(Stream& s, const Packet& p, bool as_gap_fill) {
     ++stats_.overflow_dropped;
     return false;
   }
-  const std::size_t base = s.samples.size();
+  // Appends stay inside the reserved bound, so they never reallocate.
   if (as_gap_fill) {
     // Sample-and-hold reconstruction: repeat the last known value (or 0 at
     // stream start). No peaks are invented for the missing span.
     const double hold = base > 0 ? s.samples.back() : 0.0;
-    hold_scratch_.assign(n, hold);
-    s.samples.push_span(hold_scratch_);
-    flag_scratch_.assign(n, 1);
-    s.filled.push_span(flag_scratch_);
+    s.samples.insert(s.samples.end(), n, hold);
+    s.filled.insert(s.filled.end(), n, 1);
     ++stats_.gaps_filled;
     return true;
   }
-  s.samples.push_span(p.samples);
-  flag_scratch_.assign(n, 0);
-  s.filled.push_span(flag_scratch_);
+  s.samples.insert(s.samples.end(), p.samples.begin(), p.samples.end());
+  s.filled.insert(s.filled.end(), n, 0);
   for (std::size_t rel : p.peaks) s.peaks.push_back(base + rel);
   return true;
+}
+
+bool BaseStation::Stream::gap_filled(std::size_t n) const {
+  return std::any_of(filled.begin(),
+                     filled.begin() + static_cast<std::ptrdiff_t>(n),
+                     [](std::uint8_t f) { return f != 0; });
+}
+
+void BaseStation::Stream::consume(std::size_t n) {
+  const auto drop = static_cast<std::ptrdiff_t>(n);
+  samples.erase(samples.begin(), samples.begin() + drop);
+  filled.erase(filled.begin(), filled.begin() + drop);
+  std::size_t kept = 0;
+  for (std::size_t p : peaks) {
+    if (p >= n) peaks[kept++] = p - n;
+  }
+  peaks.resize(kept);
 }
 
 void BaseStation::receive(const Packet& packet) {
@@ -107,24 +124,16 @@ void BaseStation::receive(const Packet& packet) {
 void BaseStation::classify_ready_windows() {
   const std::size_t w = config_.window_samples;
   while (ecg_.samples.size() >= w && abp_.samples.size() >= w) {
-    // Consume the window from both streams up front: drain_into moves the
-    // samples out in two contiguous chunks, and the scratch vectors give
-    // the detector the contiguous spans it needs.
-    ecg_win_.clear();
-    abp_win_.clear();
-    ecg_fill_.clear();
-    abp_fill_.clear();
-    ecg_.samples.drain_into(ecg_win_, w);
-    ecg_.filled.drain_into(ecg_fill_, w);
-    abp_.samples.drain_into(abp_win_, w);
-    abp_.filled.drain_into(abp_fill_, w);
+    // The window is the first w samples of each buffer, read in place.
+    const std::span<const double> ecg_win(ecg_.samples.data(), w);
+    const std::span<const double> abp_win(abp_.samples.data(), w);
 
     WindowReport report;
     report.window_index = stats_.windows_classified;
     if (detector_) {
       core::PortraitInput in;
-      in.ecg = std::span<const double>(ecg_win_.data(), w);
-      in.abp = std::span<const double>(abp_win_.data(), w);
+      in.ecg = ecg_win;
+      in.abp = abp_win;
 
       scratch_.clear();
       for (std::size_t p : ecg_.peaks) {
@@ -153,22 +162,17 @@ void BaseStation::classify_ready_windows() {
     // gross rate-mismatch hijack.
     if (config_.spectral_cross_check) {
       const double rate = physio::kDefaultRateHz;
-      const double hr_ecg = signal::spectral_heart_rate_bpm(
-          signal::Series(rate, ecg_win_));
-      const double hr_abp = signal::spectral_heart_rate_bpm(
-          signal::Series(rate, abp_win_));
+      const double hr_ecg = signal::spectral_heart_rate_bpm(signal::Series(
+          rate, std::vector<double>(ecg_win.begin(), ecg_win.end())));
+      const double hr_abp = signal::spectral_heart_rate_bpm(signal::Series(
+          rate, std::vector<double>(abp_win.begin(), abp_win.end())));
       if (hr_ecg > 0.0 && hr_abp > 0.0 &&
           std::abs(hr_ecg - hr_abp) > config_.hr_mismatch_bpm) {
         report.hr_mismatch = true;
         report.altered = true;
       }
     }
-    for (std::size_t i = 0; i < w; ++i) {
-      if (ecg_fill_[i] || abp_fill_[i]) {
-        report.degraded = true;
-        break;
-      }
-    }
+    report.degraded = ecg_.gap_filled(w) || abp_.gap_filled(w);
     if (config_.max_report_history > 0 &&
         reports_.size() >= config_.max_report_history) {
       // Drop-oldest retention: the buffer's capacity plateaus at the cap,
@@ -180,15 +184,10 @@ void BaseStation::classify_ready_windows() {
     ++stats_.windows_classified;
     if (report.altered) ++stats_.alerts;
 
-    // Rebase the surviving peak annotations onto the drained buffers,
-    // compacting in place (no transient vector).
-    for (Stream* s : {&ecg_, &abp_}) {
-      std::size_t kept = 0;
-      for (std::size_t p : s->peaks) {
-        if (p >= w) s->peaks[kept++] = p - w;
-      }
-      s->peaks.resize(kept);
-    }
+    // Compact after every window, not lazily: a moving head offset would
+    // walk through the whole reserved bound again.
+    ecg_.consume(w);
+    abp_.consume(w);
   }
 }
 
@@ -234,13 +233,9 @@ void BaseStation::export_state(io::StateWriter& w) const {
   for (const Stream* s : {&ecg_, &abp_}) {
     w.u32(s->next_seq);
     w.u32(static_cast<std::uint32_t>(s->samples.size()));
-    for (std::size_t i = 0; i < s->samples.size(); ++i) {
-      w.f64(s->samples.at(i));
-    }
+    for (double x : s->samples) w.f64(x);
     w.u32(static_cast<std::uint32_t>(s->filled.size()));
-    for (std::size_t i = 0; i < s->filled.size(); ++i) {
-      w.u8(s->filled.at(i));
-    }
+    for (std::uint8_t f : s->filled) w.u8(f);
     w.u32(static_cast<std::uint32_t>(s->peaks.size()));
     for (std::size_t p : s->peaks) w.u64(p);
   }
@@ -285,17 +280,19 @@ void BaseStation::import_state(io::StateReader& r) {
   for (Stream* s : {&ecg_, &abp_}) {
     s->next_seq = r.u32();
     const std::uint32_t n_samples = r.u32();
-    if (n_samples > s->samples.capacity()) {
+    if (n_samples > buffer_bound()) {
       throw std::runtime_error("BaseStation: checkpoint residue overflows");
     }
     s->samples.clear();
-    for (std::uint32_t i = 0; i < n_samples; ++i) s->samples.push(r.f64());
+    for (std::uint32_t i = 0; i < n_samples; ++i) {
+      s->samples.push_back(r.f64());
+    }
     const std::uint32_t n_filled = r.u32();
-    if (n_filled > s->filled.capacity()) {
+    if (n_filled > buffer_bound()) {
       throw std::runtime_error("BaseStation: checkpoint residue overflows");
     }
     s->filled.clear();
-    for (std::uint32_t i = 0; i < n_filled; ++i) s->filled.push(r.u8());
+    for (std::uint32_t i = 0; i < n_filled; ++i) s->filled.push_back(r.u8());
     const std::uint32_t n_peaks = r.u32();
     s->peaks.clear();
     s->peaks.reserve(n_peaks);

@@ -17,7 +17,6 @@
 
 #include "core/detector.hpp"
 #include "core/window_scratch.hpp"
-#include "signal/ring_buffer.hpp"
 #include "wiot/packet.hpp"
 
 namespace sift::io {
@@ -125,7 +124,7 @@ class BaseStation {
   const core::Detector& detector() const noexcept { return *detector_; }
 
   /// Serializes the reassembly state a restart cannot recompute: stats,
-  /// report history, and per-channel sequence cursors, ring residue
+  /// report history, and per-channel sequence cursors, buffered residue
   /// (samples + gap-fill flags), and peak annotations. The detector is
   /// deliberately excluded — models are re-provided by the fleet registry.
   void export_state(io::StateWriter& w) const;
@@ -137,14 +136,30 @@ class BaseStation {
   void import_state(io::StateReader& r);
 
  private:
-  /// Bounded reassembly state; samples move through the ring buffers in
-  /// bulk (push_span on ingest, drain_into on window completion) so the
-  /// hot path never touches the per-sample modulo arithmetic.
+  /// Bounded reassembly state for one channel. The Amulet's Insight #1
+  /// ("have efficient sensor data pipelines") asks for a small bounded
+  /// buffer between the sensor packets and the detector. The buffer is
+  /// linear: the oldest sample sits at index 0, packets append at the end,
+  /// and the detector reads the window in place. After every classified
+  /// window the residue (under lock-step traffic at most one packet) moves
+  /// to the front, so the live region stays about one window plus one
+  /// packet. The bound (max_buffered_windows windows) is reserved but never
+  /// value-initialised, so its untouched pages cost neither zeroing nor
+  /// cache footprint.
   struct Stream {
-    explicit Stream(std::size_t capacity) : samples(capacity), filled(capacity) {}
+    explicit Stream(std::size_t bound) {
+      samples.reserve(bound);
+      filled.reserve(bound);
+    }
+    /// True when any of the oldest @p n samples was gap-filled.
+    bool gap_filled(std::size_t n) const;
+    /// Drops the oldest @p n samples: moves the residue to the front and
+    /// rebases the surviving peak annotations onto it.
+    void consume(std::size_t n);
+
     std::uint32_t next_seq = 0;
-    signal::RingBuffer<double> samples;
-    signal::RingBuffer<std::uint8_t> filled;  ///< 1 = gap-filled sample
+    std::vector<double> samples;
+    std::vector<std::uint8_t> filled;  ///< 1 = gap-filled sample
     std::vector<std::size_t> peaks;  ///< indexes relative to oldest sample
   };
 
@@ -152,6 +167,9 @@ class BaseStation {
 
   Stream& stream_for(ChannelKind kind) {
     return kind == ChannelKind::kEcg ? ecg_ : abp_;
+  }
+  std::size_t buffer_bound() const noexcept {
+    return config_.max_buffered_windows * config_.window_samples;
   }
   bool append(Stream& s, const Packet& p, bool as_gap_fill);
   void classify_ready_windows();
@@ -162,17 +180,11 @@ class BaseStation {
   Stream abp_;
   std::vector<WindowReport> reports_;
   Stats stats_;
-  // Scratch reused across packets/windows to avoid steady-state allocation.
-  // With max_report_history set, a station's receive -> classify path
-  // performs zero heap allocations per window once warm (spectral
-  // cross-check, off by default, is outside that envelope).
+  // Detector scratch reused across windows. With max_report_history set, a
+  // station's receive -> classify path performs zero heap allocations per
+  // window once warm (spectral cross-check, off by default, is outside that
+  // envelope).
   core::WindowScratch scratch_;
-  std::vector<std::uint8_t> flag_scratch_;
-  std::vector<double> hold_scratch_;
-  std::vector<double> ecg_win_;
-  std::vector<double> abp_win_;
-  std::vector<std::uint8_t> ecg_fill_;
-  std::vector<std::uint8_t> abp_fill_;
 };
 
 }  // namespace sift::wiot

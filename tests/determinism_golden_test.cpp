@@ -1,6 +1,7 @@
 // Cross-version golden values for every seeded decision stream: the fleet
 // chaos injector, the wire-fault shim, the packet-attack streams, the
-// user → shard map and the cohort dedup hash.
+// user → shard map and the cohort dedup hash — plus the base station's
+// checkpoint bytes, which pin its reassembly state across storage layouts.
 //
 // The same-build determinism tests (ChaosTest.SameSeedReplaysIdentically
 // and friends) replay a seed twice in one binary, so they cannot notice the
@@ -25,7 +26,9 @@
 #include "fleet/faults.hpp"
 #include "fleet/model_registry.hpp"
 #include "fleet/session_table.hpp"
+#include "io/state.hpp"
 #include "net/faults.hpp"
+#include "wiot/base_station.hpp"
 #include "wiot/packet.hpp"
 #include "wiot/packet_attack.hpp"
 
@@ -246,6 +249,78 @@ TEST(DeterminismGolden, DedupHashOfFixedWindow) {
   const cohort::WindowDedup dedup;
   EXPECT_EQ((dedup.*hash_window_member())(ecg, abp, r_peaks, sys_peaks),
             2541680140232009886ULL);
+}
+
+// export_state is the checkpoint format: residue samples oldest first, their
+// gap-fill flags, peaks rebased onto the residue, stats and reports. Its
+// bytes are pinned after three phases that each leave a different residue:
+// a half-built window, a gap-filled (degraded) window, and a leading channel
+// shed by the 16-window bound. A change to how the station stores its
+// buffers must reproduce them exactly, and so must an import/export round
+// trip.
+TEST(DeterminismGolden, BaseStationExportStateBytes) {
+  const wiot::BaseStation::Config config;  // 1080-sample windows, 180/packet
+  wiot::BaseStation station(config);
+  auto send = [&](wiot::ChannelKind kind, std::uint32_t seq) {
+    wiot::Packet p;
+    p.kind = kind;
+    p.seq = seq;
+    const double offset = kind == wiot::ChannelKind::kEcg ? 0.0 : 0.5;
+    for (std::size_t i = 0; i < config.samples_per_packet; ++i) {
+      p.samples.push_back(offset + 0.001 * static_cast<double>(seq * 180 + i));
+    }
+    p.peaks = {seq % 60, 90 + seq % 60};
+    station.receive(p);
+  };
+  auto export_digest = [&] {
+    std::vector<std::uint8_t> bytes;
+    io::StateWriter writer(bytes);
+    station.export_state(writer);
+
+    wiot::BaseStation restored(config);
+    io::StateReader reader(bytes);
+    restored.import_state(reader);
+    std::vector<std::uint8_t> again;
+    io::StateWriter rewriter(again);
+    restored.export_state(rewriter);
+    EXPECT_EQ(again, bytes) << "import then export must reproduce the bytes";
+
+    Digest digest;
+    digest.bytes(bytes.data(), bytes.size());
+    return digest.h;
+  };
+
+  // Phase 1: in-order packets stop mid-window — one window classified and
+  // three packets of residue per channel.
+  for (std::uint32_t seq = 0; seq < 9; ++seq) {
+    send(wiot::ChannelKind::kEcg, seq);
+    send(wiot::ChannelKind::kAbp, seq);
+  }
+  ASSERT_EQ(station.stats().windows_classified, 1u);
+  EXPECT_EQ(export_digest(), 17540835146564690352ULL);
+
+  // Phase 2: ECG loses packets 9-11; packet 12 gap-fills them, and the
+  // window they land in is degraded.
+  send(wiot::ChannelKind::kEcg, 12);
+  for (std::uint32_t seq = 9; seq < 13; ++seq) {
+    send(wiot::ChannelKind::kAbp, seq);
+  }
+  ASSERT_EQ(station.stats().gaps_filled, 3u);
+  ASSERT_EQ(station.stats().windows_classified, 2u);
+  EXPECT_TRUE(station.reports().back().degraded);
+  EXPECT_EQ(export_digest(), 15745286468498877372ULL);
+
+  // Phase 3: ECG runs ahead until the bound (96 packets) sheds, then ABP
+  // closes one window against the long ECG residue.
+  for (std::uint32_t seq = 13; seq < 116; ++seq) {
+    send(wiot::ChannelKind::kEcg, seq);
+  }
+  ASSERT_GT(station.stats().overflow_dropped, 0u);
+  for (std::uint32_t seq = 13; seq < 20; ++seq) {
+    send(wiot::ChannelKind::kAbp, seq);
+  }
+  ASSERT_EQ(station.stats().windows_classified, 3u);
+  EXPECT_EQ(export_digest(), 633393791090365453ULL);
 }
 
 }  // namespace

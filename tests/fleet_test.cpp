@@ -804,6 +804,77 @@ TEST(SessionMemory, SteadyStateReceiveIsAllocationFree) {
       << "retention bound holds";
 }
 
+// The same guarantee when the channels do not arrive in lock-step: ABP lags
+// ECG by 7 packets (more than one window) for the whole stream, so every
+// window closes with over a window of ECG residue still buffered. Moving
+// that residue to the front of the reassembly buffer must neither allocate
+// nor change a single decision value against an in-order replay.
+TEST(SessionMemory, SkewedChannelsReceiveIsAllocationFree) {
+  const auto cohort = physio::synthetic_cohort(3, 7);
+  const auto training = physio::generate_cohort_records(cohort, 60.0);
+  core::SiftConfig sift_config;
+  auto model = std::make_shared<const core::UserModel>(core::train_user_model(
+      training[0], std::span(training).subspan(1), sift_config));
+
+  wiot::BaseStation::Config station;
+  station.max_report_history = 8;
+  const auto rec =
+      physio::generate_record(cohort[0], 60.0, physio::kDefaultRateHz, 2);
+  const auto n_packets =
+      static_cast<std::uint32_t>(rec.ecg.size() / station.samples_per_packet);
+  // packetize interleaves ECG and ABP; packets[2k] is ECG k, [2k+1] ABP k.
+  auto in_order = packetize(rec, station.samples_per_packet, 0);
+  const auto steady = packetize(rec, station.samples_per_packet, n_packets);
+  in_order.insert(in_order.end(), steady.begin(), steady.end());
+  const std::size_t per_channel = in_order.size() / 2;
+
+  constexpr std::size_t kLag = 7;
+  std::vector<const wiot::Packet*> skewed;
+  for (std::size_t k = 0; k < per_channel + kLag; ++k) {
+    if (k < per_channel) skewed.push_back(&in_order[2 * k]);
+    if (k >= kLag) skewed.push_back(&in_order[2 * (k - kLag) + 1]);
+  }
+
+  // Decision values in window order (recorded into a reserved vector, so
+  // recording never allocates) and the allocations after packet `warm`.
+  struct Replay {
+    std::vector<double> decisions;
+    std::uint64_t steady_allocs = 0;
+  };
+  auto replay = [&](std::span<const wiot::Packet* const> packets) {
+    Replay out;
+    out.decisions.reserve(per_channel);
+    Session session(model, station);
+    std::size_t seen = 0;
+    sift::testing::AllocGuard guard;
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      if (i == packets.size() / 2) guard.reset();
+      session.receive(*packets[i]);
+      const std::size_t done = session.stats().windows_classified;
+      const auto& reports = session.station().reports();
+      for (; seen < done; ++seen) {
+        out.decisions.push_back(
+            reports[reports.size() - (done - seen)].decision_value);
+      }
+    }
+    out.steady_allocs = guard.count();
+    EXPECT_EQ(session.stats().overflow_dropped, 0u);
+    EXPECT_EQ(session.stats().gaps_filled, 0u);
+    return out;
+  };
+
+  std::vector<const wiot::Packet*> ordered;
+  for (const auto& p : in_order) ordered.push_back(&p);
+  const Replay expected = replay(ordered);
+  const Replay got = replay(skewed);
+
+  ASSERT_GE(expected.decisions.size(), 20u);
+  EXPECT_EQ(got.steady_allocs, 0u)
+      << "skewed steady-state Session::receive must not heap-allocate";
+  EXPECT_EQ(got.decisions, expected.decisions)
+      << "skew must not change any decision value";
+}
+
 // The LRU registry under engine traffic: 64 users share 3 artefacts, so a
 // capacity-3 cache must serve all sessions with exactly 3 loads... per
 // *distinct model id*. User ids are the cache key, so capacity below the
